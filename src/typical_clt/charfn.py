@@ -23,13 +23,15 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError
 from .functionals import SmallBallResult, moment_Mp, small_ball
 from .reports import BoundCheck, BoundCheckReport
-from .rng import make_rng
+from .quadrature import kernel_sum
+from .rng import make_rng, master_seed
 from .sphere_law import Direction, jn_table, sample_direction
 from .systems import SystemSpec, sample_vector, weighted_sum
-from .distributions import _compress_atoms, mean_theta_distance
+from .distributions import compress_atoms, mean_theta_distance
 
 DEFAULT_GRID_POINTS = 512
 GRID_T_MIN = 1e-3
+CF_COMPRESS_ATOMS = 4096  # radial atoms kept for bulk J_n evaluation
 
 
 def default_t_grid(t_max: float, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -110,8 +112,8 @@ def charfn_typical(spec: SystemSpec, t_grid, radial_budget: int = 100_000,
             f"radial budget must be >= 100, got {radial_budget}")
     batch = sample_vector(spec, radial_budget, rng)
     norms = np.linalg.norm(batch.matrix, axis=1)
-    radii, weights = _compress_atoms(np.sort(norms),
-                                     np.full(norms.size, 1.0 / norms.size), 4096)
+    radii, weights = compress_atoms(np.sort(norms), np.full(norms.size, 1.0 / norms.size),
+                                    CF_COMPRESS_ATOMS)
     vals = np.empty(t.shape[0], dtype=complex)
     ses = np.empty(t.shape[0])
     chunk = max(1, int(4e6 // radii.size))
@@ -128,12 +130,13 @@ def charfn_typical(spec: SystemSpec, t_grid, radial_budget: int = 100_000,
 def mixture_charfn(mix, t) -> np.ndarray:
     """Exact cf of a radial mixture CDF (real by symmetry)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    radii, weights = _compress_atoms(mix.radii, mix.weights, 4096)
+    radii, weights = compress_atoms(mix.radii, mix.weights, CF_COMPRESS_ATOMS)
+    chunk = max(1, t.size)  # one block: the whole grid against every atom
     if mix.kernel == "gaussian":
-        return np.exp(-0.5 * np.square(t[:, None] * radii[None, :])) @ weights
-    jn = jn_table(mix.n)
-    root_n = math.sqrt(mix.n)
-    return jn(t[:, None] * radii[None, :] * root_n) @ weights
+        return kernel_sum(lambda tt, r: np.exp(-0.5 * np.square(tt * r)),
+                          t, radii, weights, chunk)
+    jn, root_n = jn_table(mix.n), math.sqrt(mix.n)
+    return kernel_sum(lambda tt, r: jn(tt * r * root_n), t, radii, weights, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +164,7 @@ def poincare_gap_check(spec: SystemSpec, t_grid, theta_budget: int = 48,
     cf estimates (per-theta estimation noise only inflates it, making the
     check conservative).
     """
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else 0
+    seed = master_seed(rng)
     t = np.asarray(t_grid, dtype=float)
     m2 = moment_Mp(spec, 2.0, strategy="analytic")
     m1_sq = m2.value ** 2
@@ -178,7 +181,6 @@ def poincare_gap_check(spec: SystemSpec, t_grid, theta_budget: int = 48,
             name="cf_direction_variance",
             statement="E_theta |f_theta(t) - f(t)|^2 <= t^2 M_1^2 / (n-1)",
             lhs=float(lhs[k]), rhs=float(rhs[k]), slack=slack,
-            passed=bool(lhs[k] <= rhs[k] + slack),
             spec_id=spec.spec_id, n=spec.n, seed=seed, budget=sample_budget,
             extra={"t": float(t[k]), "theta_budget": theta_budget},
         ))
@@ -193,7 +195,7 @@ def decay_bound_check(spec: SystemSpec, t_grid, theta_budget: int = 48,
 
     P = P{|X - Y|^2 <= n/4}, estimated empirically when not supplied.
     """
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else 0
+    seed = master_seed(rng)
     t = np.asarray(t_grid, dtype=float)
     if small_ball_result is None:
         small_ball_result = small_ball(spec, budget=sample_budget,
@@ -214,7 +216,6 @@ def decay_bound_check(spec: SystemSpec, t_grid, theta_budget: int = 48,
             statement="E_theta |f_theta(t)| <= 2.1 (exp(-t^2/16) + exp(-n/24) "
                       "+ sqrt(P{|X-Y|^2 <= n/4}))",
             lhs=float(lhs[k]), rhs=float(rhs[k]), slack=slack,
-            passed=bool(lhs[k] <= rhs[k] + slack),
             spec_id=spec.spec_id, n=spec.n, seed=seed, budget=sample_budget,
             extra={"t": float(t[k]), "small_ball": p_hat},
         ))
@@ -312,7 +313,7 @@ def smoothing_report(spec: SystemSpec, theta_budget: int = 16,
     compared with the measured mean Kolmogorov distance to the typical
     law and the ratio is logged in the report.
     """
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else 0
+    seed = master_seed(rng)
     n = spec.n
     if t0 is None:
         t0 = 5.0 * math.sqrt(math.log(n))

@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import charfn as cf
 from . import distributions as di
 from . import experiments as ex

@@ -12,9 +12,11 @@ checked); mixture-vs-mixture distances use a documented grid with local
 refinement.
 
 Mixtures with many atoms are evaluated through an equal-weight quantile
-compression plus a dense lookup table (accuracy ~1e-7, far below every
-Monte Carlo noise floor in this package); small mixtures are evaluated
-exactly, which is what the distance-oracle checks exercise.
+compression plus a dense lookup table; small mixtures are evaluated
+exactly, which is what the distance-oracle checks exercise.  The sphere
+kernel is a PCHIP table of the closed-form CDF, within 1e-7 of it (the
+largest gap seen up to n = 4096 is 1.4e-9), far below every Monte Carlo
+noise floor in this package.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 
 from .errors import DomainError, InsufficientDataError
-from .rng import as_rng, make_rng
-from .sphere_law import Direction, cdf_table, density_grid, normal_pdf, \
-    sample_direction, SphereCoordinateLaw
+from .quadrature import kernel_sum
+from .rng import make_rng, master_seed
+from .sphere_law import SphereCoordinateLaw, cdf_table, density_grid, normal_pdf, \
+    sample_direction
 from .systems import SystemSpec, sample_vector, weighted_sum
 
 # E sup_x |F_N(x) - F(x)| ~ sqrt(pi/2) ln(2) / sqrt(N) for an N-sample
@@ -86,7 +89,7 @@ def empirical_cdf(samples) -> StepCDF:
 # Mixture CDF
 # ---------------------------------------------------------------------------
 
-def _compress_atoms(radii: np.ndarray, weights: np.ndarray, max_atoms: int):
+def compress_atoms(radii: np.ndarray, weights: np.ndarray, max_atoms: int):
     """Equal-weight quantile binning of radial atoms."""
     if radii.size <= max_atoms:
         return radii, weights
@@ -169,18 +172,13 @@ class MixtureCDF:
     # -- evaluation ---------------------------------------------------------
 
     def _direct(self, x: np.ndarray, radii: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        out = np.zeros(x.shape, dtype=float)
-        chunk = max(1, int(4e6 // max(radii.size, 1)))
-        for lo in range(0, x.size, chunk):
-            hi = min(lo + chunk, x.size)
-            out[lo:hi] = self._kernel_cdf(
-                x[lo:hi, None] / radii[None, :]) @ weights
-        return out
+        return kernel_sum(lambda xs, r: self._kernel_cdf(xs / r), x, radii, weights,
+                          chunk=max(1, int(4e6 // max(radii.size, 1))))
 
     def _ensure_lut(self):
         if self._lut is None:
-            r, w = _compress_atoms(self.radii[self.radii > 0],
-                                   self.weights[self.radii > 0], COMPRESS_ATOMS)
+            r, w = compress_atoms(self.radii[self.radii > 0],
+                                  self.weights[self.radii > 0], COMPRESS_ATOMS)
             w = w / w.sum()
             span = self.span
             grid = np.linspace(-span, span, LUT_POINTS)
@@ -223,14 +221,10 @@ class MixtureCDF:
         if self.has_zero_atom:
             raise DomainError("mixture with a zero-radius atom has no density")
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        r, w = _compress_atoms(self.radii, self.weights, COMPRESS_ATOMS)
+        r, w = compress_atoms(self.radii, self.weights, COMPRESS_ATOMS)
         w = w / w.sum()
-        out = np.zeros(x.shape, dtype=float)
-        chunk = max(1, int(4e6 // r.size))
-        for lo in range(0, x.size, chunk):
-            hi = min(lo + chunk, x.size)
-            out[lo:hi] = self._kernel_pdf(x[lo:hi, None] / r[None, :]) @ (w / r)
-        return out
+        return kernel_sum(lambda xs, rr: self._kernel_pdf(xs / rr), x, r, w / r,
+                          chunk=max(1, int(4e6 // r.size)))
 
 
 def gaussian_mixture_cdf(atoms) -> MixtureCDF:
@@ -241,28 +235,22 @@ def gaussian_mixture_cdf(atoms) -> MixtureCDF:
     return MixtureCDF(radii=radii, weights=weights, kernel="gaussian")
 
 
-def typical_cdf(spec: SystemSpec, radial_budget: int = 100_000, rng=0) -> MixtureCDF:
-    """Typical distribution as a sphere-kernel mixture over r = |X|/sqrt(n).
+def _radial_atoms(spec: SystemSpec, radial_budget: int, rng):
+    """Atoms r = |X|/sqrt(n) of `radial_budget` draws, each of weight 1/N.
 
     Fixed-norm systems give the single atom r = 1 exactly.
     """
     if spec.is_fixed_norm:
-        return MixtureCDF(radii=np.array([1.0]), weights=np.array([1.0]),
-                          kernel="sphere", n=spec.n)
+        return np.array([1.0]), np.array([1.0])
     batch = sample_vector(spec, radial_budget, rng)
     r = np.linalg.norm(batch.matrix, axis=1) / math.sqrt(spec.n)
-    weights = np.full(r.size, 1.0 / r.size)
-    return MixtureCDF(radii=r, weights=weights, kernel="sphere", n=spec.n)
+    return r, np.full(r.size, 1.0 / r.size)
 
 
-def radial_gaussian_cdf(spec: SystemSpec, radial_budget: int = 100_000, rng=0) -> MixtureCDF:
-    """The Gaussian mixture G: law of r Z with r = |X|/sqrt(n), Z standard normal."""
-    if spec.is_fixed_norm:
-        return gaussian_mixture_cdf([(1.0, 1.0)])
-    batch = sample_vector(spec, radial_budget, rng)
-    r = np.linalg.norm(batch.matrix, axis=1) / math.sqrt(spec.n)
-    weights = np.full(r.size, 1.0 / r.size)
-    return MixtureCDF(radii=r, weights=weights, kernel="gaussian")
+def typical_cdf(spec: SystemSpec, radial_budget: int = 100_000, rng=0) -> MixtureCDF:
+    """Typical distribution F as a sphere-kernel mixture over r = |X|/sqrt(n)."""
+    r, w = _radial_atoms(spec, radial_budget, rng)
+    return MixtureCDF(radii=r, weights=w, kernel="sphere", n=spec.n)
 
 
 def standard_normal_cdf() -> MixtureCDF:
@@ -415,8 +403,9 @@ def build_target(spec: SystemSpec, target: str, radial_budget: int, rng) -> Mixt
         return standard_normal_cdf()
     if target == "F":
         return typical_cdf(spec, radial_budget, rng)
-    if target == "G":
-        return radial_gaussian_cdf(spec, radial_budget, rng)
+    if target == "G":  # law of r Z with Z standard normal
+        r, w = _radial_atoms(spec, radial_budget, rng)
+        return MixtureCDF(radii=r, weights=w, kernel="gaussian")
     raise DomainError(f"unknown target {target!r}; expected one of phi, F, G")
 
 
@@ -443,10 +432,7 @@ def mean_theta_distance(
     if target == "phi" and spec.mean_square_norm != spec.n:
         raise DomainError(
             "target phi requires a normalized system with E|X|^2 = n")
-    if isinstance(rng, (int, np.integer)):
-        master = int(rng)
-    else:
-        master = int(as_rng(rng).integers(1 << 62))
+    master = master_seed(rng)
     target_cdf = build_target(spec, target, radial_budget, make_rng(master, "radial"))
     if target_cdf.radii.size > 64:
         target_cdf._ensure_lut()  # build the shared table once, not per thread

@@ -240,7 +240,6 @@ def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckR
     report.add(BoundCheck(
         name="pair_moment_ge_1", statement="m_2 >= 1 (E|X|^2 = n)",
         lhs=1.0, rhs=m2.value, slack=3.0 * m2.se,
-        passed=1.0 <= m2.value + 3.0 * m2.se,
         spec_id=spec.spec_id, n=n, seed=seed, budget=budget,
     ))
     if spec.is_isotropic:
@@ -248,7 +247,6 @@ def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckR
             name="pair_moment_eq_1_isotropic",
             statement="|m_2 - 1| small for isotropic systems",
             lhs=abs(m2.value - 1.0), rhs=0.0, slack=3.0 * m2.se,
-            passed=abs(m2.value - 1.0) <= 3.0 * m2.se,
             spec_id=spec.spec_id, n=n, seed=seed, budget=budget,
         ))
     else:
@@ -258,7 +256,6 @@ def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckR
             name="pair_moment_gt_1_anisotropic",
             statement="m_2 > 1 for non-isotropic systems with E|X|^2 = n",
             lhs=1.0, rhs=big.value, slack=-3.0 * big.se,
-            passed=big.value - 3.0 * big.se > 1.0,
             spec_id=spec.spec_id, n=n, seed=seed, budget=_scaled(500_000, scale),
         ))
 
@@ -279,7 +276,6 @@ def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckR
             name=f"norm_moment_le_Mp_rootn_p{int(p)}",
             statement="(E |X|^p)^(1/p) <= M_p sqrt(n)",
             lhs=lhs, rhs=rhs, slack=slack,
-            passed=lhs <= rhs + slack,
             spec_id=spec.spec_id, n=n, seed=seed, budget=budget,
             extra={"strategy": mp.strategy},
         ))
@@ -289,7 +285,6 @@ def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckR
             name=f"pair_moment_le_Mp_sq_p{int(p)}",
             statement="m_p <= M_p^2 for p >= 2",
             lhs=mpair.value, rhs=mp.value ** 2, slack=slack,
-            passed=mpair.value <= mp.value ** 2 + slack,
             spec_id=spec.spec_id, n=n, seed=seed, budget=budget,
             extra={"strategy": mp.strategy},
         ))
@@ -299,8 +294,6 @@ def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckR
         statement="m_2 <= m_3 (nondecreasing in p)",
         lhs=m_est[2.0].value, rhs=m_est[3.0].value,
         slack=3.0 * (m_est[2.0].se + m_est[3.0].se),
-        passed=m_est[2.0].value
-        <= m_est[3.0].value + 3.0 * (m_est[2.0].se + m_est[3.0].se),
         spec_id=spec.spec_id, n=n, seed=seed, budget=budget,
     ))
     sig = {p: fn.sigma_2p(spec, p, budget=budget,
@@ -312,8 +305,6 @@ def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckR
             statement="sigma_2p nondecreasing in p",
             lhs=sig[lo_p].value, rhs=sig[hi_p].value,
             slack=3.0 * (sig[lo_p].se + sig[hi_p].se),
-            passed=sig[lo_p].value
-            <= sig[hi_p].value + 3.0 * (sig[lo_p].se + sig[hi_p].se),
             spec_id=spec.spec_id, n=n, seed=seed, budget=budget,
         ))
 
@@ -324,7 +315,7 @@ def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckR
         name="small_ball_bound",
         statement="P{|X-Y|^2 <= n/4} <= 4^q m_q^q / n^(q/2) + 4^2p s_2p^2p / n^p",
         lhs=sb.empirical, rhs=sb.bound,
-        slack=3.0 * (sb.se + sb.bound_se), passed=sb.passed,
+        slack=3.0 * (sb.se + sb.bound_se),
         spec_id=spec.spec_id, n=n, seed=seed, budget=budget,
     ))
     return report
@@ -372,7 +363,7 @@ def _suite_tail(scale: float, seed: int, threads: int) -> BoundCheckReport:
         report.add(BoundCheck(
             name=f"lower_tail_{name}",
             statement="P{S_n <= lambda n} <= exp(-(1-lambda)^2 n / (8 kappa))",
-            lhs=emp, rhs=bound, slack=0.0, passed=emp <= bound,
+            lhs=emp, rhs=bound, slack=0.0,
             spec_id=f"xi_{name}", n=100, seed=seed, budget=sims,
             extra={"kappa": lt.kappa, "lambda": lt.lam},
         ))

@@ -1,9 +1,10 @@
-"""Composite Gauss-Legendre quadrature with a doubling convergence check.
+"""Composite Gauss-Legendre nodes and the chunked kernel sum.
 
 The oscillatory cosine transforms in this package are integrated with a
 fixed-order rule on panels whose count scales with the oscillation
-frequency of the integrand; convergence is certified by comparing
-against a run with twice the panel count.
+frequency of the integrand.  Mixture CDFs, densities and cfs, and the
+quadrature itself, are all sums f(x_i, node_j) @ weights, evaluated by
+`kernel_sum` a bounded block of rows at a time.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import NumericKernelError
 
 GL_ORDER = 16
 
@@ -34,34 +33,14 @@ def panel_nodes(a: float, b: float, panels: int, order: int = GL_ORDER):
     return nodes, weights
 
 
-def integrate_panels(f, a: float, b: float, panels: int, order: int = GL_ORDER) -> float:
-    nodes, weights = panel_nodes(a, b, panels, order)
-    return float(np.dot(f(nodes), weights))
+def kernel_sum(f, x: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
+               chunk: int) -> np.ndarray:
+    """f(x[:, None], nodes[None, :]) @ weights, `chunk` rows of x at a time.
 
-
-def integrate_to_tolerance(
-    f,
-    a: float,
-    b: float,
-    panels: int,
-    rtol: float = 1e-9,
-    atol: float = 1e-13,
-    max_doublings: int = 8,
-    label: str = "integral",
-) -> float:
-    """Integrate with panel doubling until two refinements agree.
-
-    Agreement means ``|I_2P - I_P| <= max(rtol * |I_2P|, atol)``.  Raises
-    NumericKernelError with diagnostics if the tolerance is never met.
+    f is applied elementwise to broadcast (rows, 1) and (1, nodes) arrays;
+    chunking bounds the temporary matrix at chunk * nodes.size entries.
     """
-    prev = integrate_panels(f, a, b, panels)
-    for _ in range(max_doublings):
-        panels *= 2
-        cur = integrate_panels(f, a, b, panels)
-        if abs(cur - prev) <= max(rtol * abs(cur), atol):
-            return cur
-        prev = cur
-    raise NumericKernelError(
-        f"{label}: quadrature did not converge to rtol={rtol} on [{a}, {b}] "
-        f"(last panels={panels}, last delta={abs(cur - prev):.3e})"
-    )
+    out = np.empty(x.shape[0])
+    for lo in range(0, x.shape[0], chunk):
+        out[lo:lo + chunk] = f(x[lo:lo + chunk, None], nodes[None, :]) @ weights
+    return out

@@ -1,9 +1,9 @@
 """Inequality-check records and the shared CSV writer.
 
-A BoundCheck is one verified inequality: the two sides, the slack margin
-(rhs + slack - lhs, nonnegative when the check passes) and sampling
-metadata.  BoundCheckReport aggregates checks and serializes them to the
-versioned CSV format used by the CLI.
+A BoundCheck is one verified inequality: the two sides, the slack, the
+margin rhs + slack - lhs (the check passes iff it is nonnegative) and
+sampling metadata.  BoundCheckReport aggregates checks and serializes
+them to the versioned CSV format used by the CLI.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class BoundCheck:
     lhs: float
     rhs: float
     slack: float            # allowed slack (3*SE for Monte Carlo checks)
-    passed: bool
     spec_id: str = ""
     n: int = 0
     seed: int = 0
@@ -42,6 +41,10 @@ class BoundCheck:
     def margin(self) -> float:
         """rhs + slack - lhs; nonnegative iff the inequality held."""
         return self.rhs + self.slack - self.lhs
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= 0.0
 
 
 @dataclass

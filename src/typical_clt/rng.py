@@ -1,10 +1,11 @@
 """Deterministic seed derivation.
 
 Every stochastic routine in the package takes either an integer master
-seed or a ready ``numpy.random.Generator``.  Parallel work units (shards,
-theta draws, sweep cells) derive their own child seed from the master
-seed plus a tuple of keys, so results never depend on scheduling order
-or thread count.
+seed or a ready ``numpy.random.Generator``; `as_rng` and `master_seed`
+turn either into a generator or a seed and reject anything else.
+Parallel work units (shards, theta draws, sweep cells) derive their own
+child seed from the master seed plus a tuple of keys, so results never
+depend on scheduling order or thread count.
 """
 
 from __future__ import annotations
@@ -34,10 +35,21 @@ def make_rng(master_seed: int, *keys) -> np.random.Generator:
     return np.random.default_rng(derive_seed_sequence(master_seed, *keys))
 
 
-def as_rng(rng_or_seed) -> np.random.Generator:
-    """Accept an int seed or a Generator and return a Generator."""
-    if isinstance(rng_or_seed, np.random.Generator):
-        return rng_or_seed
-    if isinstance(rng_or_seed, (int, np.integer)):
-        return make_rng(int(rng_or_seed))
-    raise TypeError(f"expected int seed or numpy Generator, got {type(rng_or_seed)!r}")
+def master_seed(rng) -> int:
+    """An int seed as is; a Generator yields a fresh 62-bit seed drawn from it."""
+    if isinstance(rng, np.random.Generator):
+        return int(rng.integers(1 << 62))
+    if isinstance(rng, (int, np.integer)):
+        return int(rng)
+    raise TypeError(f"expected int seed or numpy Generator, got {type(rng)!r}")
+
+
+def as_rng(rng, *keys) -> np.random.Generator:
+    """Generator for the work unit ``keys`` of an int seed or a Generator.
+
+    An int seed gives ``make_rng(seed, *keys)``, so units are independent
+    of call order; a Generator is returned as is and consumed sequentially.
+    """
+    if isinstance(rng, np.random.Generator):
+        return rng
+    return make_rng(master_seed(rng), *keys)

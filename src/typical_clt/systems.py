@@ -158,16 +158,15 @@ def register_sampler(kind: str, sampler) -> None:
 
 def _sample_rows(spec: SystemSpec, count: int, gen: np.random.Generator) -> np.ndarray:
     n = spec.n
+    # fixed-norm rademacher draws exactly like iid rademacher
+    if spec.kind == "fixed_norm_rademacher" or spec.base == "rademacher":
+        return gen.integers(0, 2, size=(count, n)).astype(float) * 2.0 - 1.0
     if spec.kind == "iid":
-        if spec.base == "rademacher":
-            return gen.integers(0, 2, size=(count, n)).astype(float) * 2.0 - 1.0
         if spec.base == "uniform":
             return gen.uniform(-SQRT3, SQRT3, size=(count, n))
         if spec.base == "exponential":
             return gen.standard_exponential(size=(count, n)) - 1.0
         return gen.standard_normal(size=(count, n))
-    if spec.kind == "fixed_norm_rademacher":
-        return gen.integers(0, 2, size=(count, n)).astype(float) * 2.0 - 1.0
     if spec.kind == "trigonometric":
         omega = gen.uniform(-math.pi, math.pi, size=count)
         k = np.arange(1, n // 2 + 1, dtype=float)

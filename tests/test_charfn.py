@@ -129,6 +129,14 @@ class TestTypicalCf:
         ft = np.array([np.trapezoid(np.cos(tt * xs) * dens, xs) for tt in t])
         assert np.abs(direct - ft).max() <= 1e-3
 
+    def test_mixture_charfn_single_atoms(self):
+        t = np.linspace(0.0, 6.0, 25)
+        gauss = di.gaussian_mixture_cdf([(1.0, 1.0)])
+        assert np.abs(cf.mixture_charfn(gauss, t) - np.exp(-0.5 * t ** 2)).max() < 1e-15
+        sphere = di.typical_cdf(TRIG64)
+        exact = charfn_Jn_grid(SphereCoordinateLaw.for_dimension(64), t * 8.0)
+        assert np.abs(cf.mixture_charfn(sphere, t) - exact).max() < 1e-8
+
     def test_boundedness_profile(self):
         # |f(t)| <= C ((1 + sigma_4^2)/n + exp(-t^2/4)) with one fitted C
         for spec in (TRIG64, spec_iid("uniform", 64)):
@@ -158,6 +166,21 @@ class TestDirectionConcentration:
                                     theta_budget=24, sample_budget=20_000, rng=3)
         assert rep.all_passed
         assert all(c.lhs <= 3e-4 for c in rep.checks)
+
+    def test_generator_seeds_the_check(self):
+        # a Generator is drawn from, never replaced by a fixed seed
+        def lhs(rng):
+            rep = cf.poincare_gap_check(spec_iid("uniform", 16), [1.0], theta_budget=6,
+                                        sample_budget=1000, rng=rng)
+            return rep.checks[0].lhs
+
+        assert lhs(np.random.default_rng(1)) != lhs(np.random.default_rng(999))
+        assert lhs(np.random.default_rng(1)) == lhs(np.random.default_rng(1))
+
+    def test_non_seed_rng_rejected(self):
+        with pytest.raises(TypeError):
+            cf.poincare_gap_check(TRIG64, [1.0], theta_budget=4, sample_budget=200,
+                                  rng=1.5)
 
     def test_decay_at_zero_trivial(self):
         rep = cf.decay_bound_check(TRIG64, [0.0], theta_budget=8,

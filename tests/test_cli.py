@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -117,3 +119,12 @@ class TestOtherCommands:
 
     def test_missing_command_exit_two(self):
         assert run([]) == cli.EXIT_CONFIG_ERROR
+
+
+def test_import_leaves_scipy_integrate_out():
+    # the sphere CDF is a closed form, so no quadrature package loads at startup
+    code = "import sys, typical_clt.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

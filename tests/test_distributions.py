@@ -8,6 +8,7 @@ from scipy.stats import ks_2samp
 from typical_clt import distributions as di
 from typical_clt import systems as sy
 from typical_clt.errors import DomainError, InsufficientDataError
+from typical_clt.quadrature import kernel_sum
 from typical_clt.sphere_law import gap_report
 
 
@@ -86,6 +87,14 @@ class TestMixtureCDF:
         assert mix.cdf_left(0.0) == pytest.approx(0.75 * 0.5)
         with pytest.raises(DomainError):
             mix.density(np.array([0.0]))
+
+    def test_kernel_sum_independent_of_chunk(self):
+        rng = np.random.default_rng(8)
+        x, nodes, w = rng.normal(size=37), rng.uniform(0.5, 2.0, 11), rng.random(11)
+        whole = ndtr(x[:, None] / nodes[None, :]) @ w
+        for chunk in (1, 5, 37, 100):
+            got = kernel_sum(lambda xs, r: ndtr(xs / r), x, nodes, w, chunk)
+            assert np.allclose(got, whole, rtol=0.0, atol=1e-15), chunk
 
     def test_lut_matches_direct(self):
         rng = np.random.default_rng(5)

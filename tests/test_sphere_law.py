@@ -112,8 +112,17 @@ class TestCdf:
         vals = [sl.cdf(l, x) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    def test_interpolant_matches_quadrature(self):
-        for n in (2, 3, 64, 600):
+    def test_closed_form_matches_quadrature(self):
+        for n in (4, 16, 64, 256):
+            l = law(n)
+            for x in (-2.5, -0.7, 0.3, 1.9):
+                mass, _ = quad(lambda y: sl.density(l, y), 0.0, abs(x),
+                               epsabs=1e-14, limit=200)
+                assert sl.cdf(l, x) == pytest.approx(0.5 + math.copysign(mass, x),
+                                                     abs=1e-12), (n, x)
+
+    def test_interpolant_matches_closed_form(self):
+        for n in (2, 3, 64, 600, 4096):
             table = sl.cdf_table(n)
             xs = np.linspace(-math.sqrt(n) * 0.999, math.sqrt(n) * 0.999, 41)
             exact = np.array([sl.cdf(law(n), float(x)) for x in xs])

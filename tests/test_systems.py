@@ -5,7 +5,7 @@ import pytest
 
 from typical_clt import systems as sy
 from typical_clt.errors import ConfigurationError, DomainError, InsufficientDataError
-from typical_clt.rng import make_rng
+from typical_clt.rng import as_rng, make_rng, master_seed
 from typical_clt.sphere_law import Direction, sample_direction
 
 
@@ -109,6 +109,26 @@ class TestSampling:
         spec = sy.SystemSpec(kind="doubled_rademacher", n=4)
         batch = sy.sample_vector(spec, 100, 3)
         assert set(np.unique(batch.matrix)) == {-2.0, 2.0}
+
+
+class TestRngRule:
+    def test_int_seed_derives_child_stream(self):
+        a = as_rng(7, "key", 3).integers(1 << 30, size=4)
+        assert np.array_equal(a, make_rng(7, "key", 3).integers(1 << 30, size=4))
+        assert master_seed(np.int64(7)) == 7
+
+    def test_generator_used_as_given(self):
+        gen = np.random.default_rng(0)
+        assert as_rng(gen, "key") is gen
+        first, second = np.random.default_rng(1), np.random.default_rng(2)
+        assert master_seed(first) != master_seed(second)
+
+    @pytest.mark.parametrize("bad", [1.5, None, "7"])
+    def test_other_types_rejected(self, bad):
+        with pytest.raises(TypeError):
+            as_rng(bad, "key")
+        with pytest.raises(TypeError):
+            master_seed(bad)
 
 
 class TestWeightedSum:
