@@ -13,8 +13,8 @@ from .errors import (ConfigurationError, DomainError, FitUnavailableError,
 from .sphere_law import (Direction, SphereCoordinateLaw, cdf, charfn_Jn,
                          density, gap_report, norm_const, sample_direction)
 from .systems import (SampleBatch, SystemSpec, built_in_spec,
-                      covariance_summary, default_catalog, sample_vector,
-                      weighted_sum)
+                      covariance_summary, default_catalog, project,
+                      sample_vector, weighted_sum)
 from .functionals import (Estimate, FunctionalsReport, LowerTailBound,
                           MomentEstimate, compute_functionals,
                           lower_tail_bound, moment_Mp, moment_mp,

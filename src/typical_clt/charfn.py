@@ -26,7 +26,7 @@ from .reports import BoundCheck, BoundCheckReport
 from .quadrature import kernel_sum
 from .rng import make_rng, master_seed
 from .sphere_law import Direction, jn_table, sample_direction
-from .systems import SystemSpec, sample_vector, weighted_sum
+from .systems import SystemSpec, project, sample_vector
 from .distributions import compress_atoms, mean_theta_distance
 
 DEFAULT_GRID_POINTS = 512
@@ -87,9 +87,7 @@ def charfn_weighted_sum(spec: SystemSpec, theta: Direction, t_grid,
     if budget < 100:
         raise InsufficientDataError(f"cf estimation needs a budget >= 100, got {budget}")
     t = np.asarray(t_grid, dtype=float)
-    batch = sample_vector(spec, budget, rng)
-    s = weighted_sum(batch, theta)
-    vals, ses = _empirical_cf(s, t)
+    vals, ses = _empirical_cf(project(spec, theta, budget, rng), t)
     return CharFnEstimate(t=t, values=vals, se=ses, budget=budget)
 
 
@@ -148,8 +146,7 @@ def _per_theta_cf_matrix(spec: SystemSpec, t: np.ndarray, theta_budget: int,
     rows = np.empty((theta_budget, t.shape[0]), dtype=complex)
     for j in range(theta_budget):
         theta = sample_direction(spec.n, make_rng(seed, "cf_theta", j))
-        batch = sample_vector(spec, sample_budget, make_rng(seed, "cf_batch", j))
-        s = weighted_sum(batch, theta)
+        s = project(spec, theta, sample_budget, make_rng(seed, "cf_batch", j))
         rows[j], _ = _empirical_cf(s, t)
     return rows
 

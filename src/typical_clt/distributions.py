@@ -26,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 
 from .errors import DomainError, InsufficientDataError
@@ -34,7 +33,7 @@ from .quadrature import kernel_sum
 from .rng import make_rng, master_seed
 from .sphere_law import SphereCoordinateLaw, cdf_table, density_grid, normal_pdf, \
     sample_direction
-from .systems import SystemSpec, sample_vector, weighted_sum
+from .systems import SystemSpec, project, sample_vector
 
 # E sup_x |F_N(x) - F(x)| ~ sqrt(pi/2) ln(2) / sqrt(N) for an N-sample
 # empirical CDF of a continuous law.
@@ -296,6 +295,8 @@ def _ks_step_mixture(step: StepCDF, mix: MixtureCDF) -> DistanceReport:
 
 def _ks_mixture_mixture(a: MixtureCDF, b: MixtureCDF, grid_points: int = 8193,
                         refine: int = 24) -> DistanceReport:
+    from scipy.optimize import minimize_scalar
+
     span = max(a.span, b.span)
     xs = np.linspace(-span, span, grid_points)
     if a.has_zero_atom or b.has_zero_atom:
@@ -420,10 +421,12 @@ def mean_theta_distance(
 ) -> MeanThetaDistance:
     """Mean over random directions of rho(empirical F_theta, target CDF).
 
-    Draws `theta_budget` directions; for each, builds a step CDF of the
-    weighted sum from `per_theta_budget` fresh samples and measures the
-    exact Kolmogorov distance to the target.  Nothing is subtracted from
-    the estimates; the empirical-CDF noise floor is reported alongside.
+    Draws `theta_budget` directions; for each, builds a step CDF of
+    `per_theta_budget` fresh values of the weighted sum (from
+    `systems.project`, which forms no sample matrix for trigonometric and
+    Walsh systems) and measures the exact Kolmogorov distance to the
+    target.  Nothing is subtracted from the estimates; the empirical-CDF
+    noise floor is reported alongside.
     """
     if theta_budget < 2:
         raise InsufficientDataError("need at least 2 directions for a standard error")
@@ -439,8 +442,8 @@ def mean_theta_distance(
 
     def one_theta(j: int) -> float:
         theta = sample_direction(spec.n, make_rng(master, "theta", j))
-        batch = sample_vector(spec, per_theta_budget, make_rng(master, "batch", j))
-        step = StepCDF.from_samples(weighted_sum(batch, theta))
+        step = StepCDF.from_samples(
+            project(spec, theta, per_theta_budget, make_rng(master, "batch", j)))
         return kolmogorov_distance(step, target_cdf).rho
 
     indices = range(theta_budget)

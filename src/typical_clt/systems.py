@@ -1,10 +1,26 @@
-"""Declarative catalog and samplers for the random vectors under study.
+"""Declarative catalog, samplers and matrix-free projections.
 
 Every built-in system is centered with unit-variance coordinates, so
 E|X|^2 = n, except the anisotropic Gaussian where E|X|^2 is the sum of
 the covariance eigenvalues.  Samplers are deterministic given (spec,
 seed): large batches are sharded with per-shard derived seeds so the
 assembled matrix never depends on execution order.
+
+`project` returns the weighted sums <X, theta> from the same draws as
+`weighted_sum(sample_vector(...))`, without the N x n matrix where the
+kind allows it:
+
+- trigonometric: at the drawn frequencies w, <X, theta> = Re(z P(z))
+  with z = e^(iw) and P(z) = sum_k sqrt2 (theta_(2k-1) - i theta_(2k))
+  z^(k-1), evaluated by Horner's rule (the complex form of Clenshaw's
+  summation); equal to the matrix path up to rounding;
+- walsh: each drawn sign row is packed into an index b of the 2^m cube
+  and looked up in v = (cube rows) @ theta, built once per call; used
+  when 2^m <= count.  It is bit for bit the matrix path, except on rows
+  that BLAS evaluates in a 2-row remainder block of its matvec kernel
+  (which ones depends on the count and the BLAS thread count), where
+  the matrix path itself rounds differently;
+- every other kind (and walsh with a larger cube): the matrix path.
 """
 
 from __future__ import annotations
@@ -176,12 +192,7 @@ def _sample_rows(spec: SystemSpec, count: int, gen: np.random.Generator) -> np.n
         out[:, 1::2] = SQRT2 * np.sin(ang)
         return out
     if spec.kind == "walsh":
-        eps = gen.integers(0, 2, size=(count, spec.walsh_bits)).astype(float) * 2.0 - 1.0
-        out = np.empty((count, n))
-        for j, char in enumerate(spec.characters):
-            idx = np.array(char) - 1
-            out[:, j] = np.prod(eps[:, idx], axis=1)
-        return out
+        return _walsh_rows(spec, gen.integers(0, 2, size=(count, spec.walsh_bits)))
     if spec.kind == "gaussian_anisotropic":
         scale = np.sqrt(np.asarray(spec.eigenvalues))
         return gen.standard_normal(size=(count, n)) * scale[None, :]
@@ -191,24 +202,44 @@ def _sample_rows(spec: SystemSpec, count: int, gen: np.random.Generator) -> np.n
     return np.asarray(sampler(spec, count, gen), dtype=float)
 
 
-def sample_vector(spec: SystemSpec, count: int, rng) -> SampleBatch:
-    """Draw `count` i.i.d. rows from the law of X.
+def _walsh_rows(spec: SystemSpec, bits: np.ndarray) -> np.ndarray:
+    """Walsh characters at the sign rows eps = 2 bits - 1."""
+    eps = bits.astype(float) * 2.0 - 1.0
+    out = np.empty((bits.shape[0], spec.n))
+    for j, char in enumerate(spec.characters):
+        idx = np.array(char) - 1
+        out[:, j] = np.prod(eps[:, idx], axis=1)
+    return out
 
-    With an integer seed, batches above the shard size are generated in
+
+def _in_shards(draw, count: int, rng, width: tuple = ()) -> np.ndarray:
+    """draw(rows, generator) for `count` rows.
+
+    With an integer seed, batches above the shard size are drawn in
     independent shards whose seeds derive from (seed, shard index); the
-    assembled matrix is identical whatever order shards run in.
+    assembled array is identical whatever order shards run in.
     """
     if count < 1:
         raise ConfigurationError(f"sample count must be positive, got {count}")
     if isinstance(rng, (int, np.integer)) and count > SHARD_SIZE:
-        seed = int(rng)
-        out = np.empty((count, spec.n))
+        out = np.empty((count, *width))
         for shard, lo in enumerate(range(0, count, SHARD_SIZE)):
             hi = min(lo + SHARD_SIZE, count)
-            out[lo:hi] = _sample_rows(spec, hi - lo, make_rng(seed, "shard", shard))
-        return SampleBatch(matrix=out, spec=spec, seed=seed)
+            out[lo:hi] = draw(hi - lo, make_rng(int(rng), "shard", shard))
+        return out
+    return draw(count, as_rng(rng))
+
+
+def sample_vector(spec: SystemSpec, count: int, rng) -> SampleBatch:
+    """Draw `count` i.i.d. rows from the law of X.
+
+    With an integer seed, batches above the shard size are drawn in
+    shards (see `_in_shards`), so the matrix never depends on run order.
+    """
+    matrix = _in_shards(lambda rows, gen: _sample_rows(spec, rows, gen), count, rng,
+                        (spec.n,))
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
-    return SampleBatch(matrix=_sample_rows(spec, count, as_rng(rng)), spec=spec, seed=seed)
+    return SampleBatch(matrix=matrix, spec=spec, seed=seed)
 
 
 def weighted_sum(batch: SampleBatch, theta: Direction) -> np.ndarray:
@@ -219,6 +250,54 @@ def weighted_sum(batch: SampleBatch, theta: Direction) -> np.ndarray:
             f"direction has n={theta.n}"
         )
     return batch.matrix @ theta.coords
+
+
+def _trig_projector(theta: Direction):
+    """rows, generator -> <X, theta> at the drawn frequencies, by Horner."""
+    coef = SQRT2 * (theta.coords[0::2] - 1j * theta.coords[1::2])
+
+    def draw(rows: int, gen: np.random.Generator) -> np.ndarray:
+        z = np.exp(1j * gen.uniform(-math.pi, math.pi, size=rows))
+        p = np.full(rows, coef[-1])
+        for c in coef[-2::-1]:
+            p *= z
+            p += c
+        p *= z
+        return p.real
+
+    return draw
+
+
+def _walsh_projector(spec: SystemSpec, theta: Direction):
+    """rows, generator -> <X, theta> looked up by packed sign pattern."""
+    m = spec.walsh_bits
+    powers = 1 << np.arange(m)
+    cube = (np.arange(1 << m)[:, None] & powers[None, :]) != 0
+    values = _walsh_rows(spec, cube) @ theta.coords
+
+    def draw(rows: int, gen: np.random.Generator) -> np.ndarray:
+        return values[gen.integers(0, 2, size=(rows, m)) @ powers]
+
+    return draw
+
+
+def project(spec: SystemSpec, theta: Direction, count: int, rng) -> np.ndarray:
+    """The `count` values of <X, theta>, from the draws of `sample_vector`.
+
+    Equals weighted_sum(sample_vector(spec, count, rng), theta): bit for
+    bit on the fallback path, up to rounding on the trigonometric and
+    walsh ones (see the module docstring).
+    """
+    if spec.n != theta.n:
+        raise DomainError(
+            f"dimension mismatch: system has n={spec.n}, direction has n={theta.n}")
+    if spec.kind == "trigonometric":
+        draw = _trig_projector(theta)
+    elif spec.kind == "walsh" and (1 << spec.walsh_bits) <= count:
+        draw = _walsh_projector(spec, theta)
+    else:
+        return weighted_sum(sample_vector(spec, count, rng), theta)
+    return _in_shards(draw, count, rng)
 
 
 @dataclass(frozen=True)

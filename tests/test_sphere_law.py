@@ -197,6 +197,15 @@ class TestCharfnJn:
         s = np.linspace(0.0, 50.0, 777)
         assert np.abs(table(s) - sl.charfn_Jn_grid(l, s)).max() < 1e-9
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_bulk_evaluator_small_n(self, n):
+        # the table's cutoff search fails for n in {2, 4, 8, 12}; those n
+        # take the closed form 0F1(; n/2; -s^2/4)
+        s = np.linspace(0.0, 60.0, 301)
+        bulk = sl.jn_table(n)(s)
+        assert bulk[0] == 1.0
+        assert np.abs(bulk - sl.charfn_Jn_grid(law(n), s)).max() < 1e-9
+
 
 @pytest.fixture(scope="module")
 def report():

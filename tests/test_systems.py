@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from typical_clt import systems as sy
 from typical_clt.errors import ConfigurationError, DomainError, InsufficientDataError
 from typical_clt.rng import as_rng, make_rng, master_seed
 from typical_clt.sphere_law import Direction, sample_direction
+
+
+SQRT3 = math.sqrt(3.0)
 
 
 def spec_iid(base, n=16):
@@ -159,6 +163,99 @@ class TestWeightedSum:
         batch = sy.sample_vector(spec_iid("normal", 8), 10, 0)
         with pytest.raises(DomainError):
             sy.weighted_sum(batch, Direction(coords=np.eye(4)[0]))
+
+
+def matrix_path(spec, theta, count, rng):
+    return sy.weighted_sum(sy.sample_vector(spec, count, rng), theta)
+
+
+FALLBACK_SPECS = [spec for spec in sy.default_catalog(8)
+                  if spec.kind not in ("trigonometric", "walsh")]
+
+
+class TestProject:
+    # The walsh lookup equals the matrix path bit for bit where BLAS runs
+    # every row of the matrix path through the same matvec kernel: with
+    # counts that are multiples of 4, or one shard of 2^16 plus one row.
+
+    @pytest.mark.parametrize("n", [3, 15, 16, 63])
+    def test_walsh_bit_identical(self, n):
+        spec = sy.SystemSpec(kind="walsh", n=n)
+        theta = sample_direction(n, 5)
+        a = sy.project(spec, theta, 4096, make_rng(9, "batch"))
+        assert np.array_equal(a, matrix_path(spec, theta, 4096, make_rng(9, "batch")))
+
+    def test_walsh_any_count_agrees_to_rounding(self):
+        # at other counts BLAS evaluates trailing rows of the matrix path in a
+        # 2-row remainder block, which can move their last bit
+        spec = sy.SystemSpec(kind="walsh", n=63)
+        theta = sample_direction(63, 5)
+        a = sy.project(spec, theta, 5003, make_rng(9, "batch"))
+        b = matrix_path(spec, theta, 5003, make_rng(9, "batch"))
+        assert np.all(np.abs(a - b) <= 1e-15 * (1.0 + np.abs(b)))
+
+    @pytest.mark.parametrize("spec", FALLBACK_SPECS, ids=lambda s: s.spec_id)
+    def test_fallback_bit_identical(self, spec):
+        theta = sample_direction(spec.n, 5)
+        a = sy.project(spec, theta, 3001, make_rng(9, "batch"))
+        assert np.array_equal(a, matrix_path(spec, theta, 3001, make_rng(9, "batch")))
+
+    def test_registered_kind_bit_identical(self):
+        sy.register_sampler("scaled_uniform", lambda spec, count, gen:
+                            gen.uniform(-1.0, 1.0, size=(count, spec.n)) * SQRT3)
+        spec = sy.SystemSpec(kind="scaled_uniform", n=6)
+        theta = sample_direction(6, 5)
+        a = sy.project(spec, theta, 777, 4)
+        assert np.array_equal(a, matrix_path(spec, theta, 777, 4))
+
+    @pytest.mark.parametrize("n", [2, 16, 256])
+    def test_trigonometric_within_rounding(self, n):
+        spec = sy.SystemSpec(kind="trigonometric", n=n)
+        theta = sample_direction(n, 5)
+        a = sy.project(spec, theta, 3001, make_rng(9, "batch"))
+        b = matrix_path(spec, theta, 3001, make_rng(9, "batch"))
+        assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + np.abs(b)))
+
+    @pytest.mark.parametrize("spec", [
+        sy.SystemSpec(kind="walsh", n=15),
+        sy.SystemSpec(kind="trigonometric", n=16),
+        spec_iid("uniform", 4),
+    ], ids=lambda s: s.spec_id)
+    def test_integer_seed_reproduces_shards(self, spec):
+        count = sy.SHARD_SIZE + 1
+        theta = sample_direction(spec.n, 5)
+        a = sy.project(spec, theta, count, 7)
+        b = matrix_path(spec, theta, count, 7)
+        if spec.kind == "trigonometric":
+            assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + np.abs(b)))
+        else:
+            assert np.array_equal(a, b)
+
+    def test_walsh_large_cube_falls_back(self, monkeypatch):
+        spec = sy.SystemSpec(kind="walsh", n=2, characters=((1,), (2, 20)))
+        monkeypatch.setattr(sy, "_walsh_projector", None)  # a lookup would fail
+        theta = sample_direction(2, 5)
+        a = sy.project(spec, theta, 1000, 3)
+        assert np.array_equal(a, matrix_path(spec, theta, 1000, 3))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DomainError):
+            sy.project(sy.SystemSpec(kind="trigonometric", n=8),
+                       Direction(coords=np.eye(4)[0]), 10, 0)
+
+    def test_count_validation(self):
+        with pytest.raises(ConfigurationError):
+            sy.project(sy.SystemSpec(kind="trigonometric", n=8),
+                       sample_direction(8, 0), 0, 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(half_n=st.integers(1, 96), seed=st.integers(0, 2**32 - 1))
+    def test_trigonometric_property(self, half_n, seed):
+        spec = sy.SystemSpec(kind="trigonometric", n=2 * half_n)
+        theta = sample_direction(spec.n, make_rng(seed, "theta"))
+        a = sy.project(spec, theta, 400, make_rng(seed, "batch"))
+        b = matrix_path(spec, theta, 400, make_rng(seed, "batch"))
+        assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + np.abs(b)))
 
 
 class TestCovarianceSummary:
