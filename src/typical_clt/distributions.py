@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DomainError, InsufficientDataError
+from .errors import ConfigurationError, DomainError, InsufficientDataError
 from .quadrature import kernel_sum
 from .rng import make_rng, master_seed
 from .sphere_law import SphereCoordinateLaw, cdf_table, density_grid, normal_pdf, \
@@ -47,6 +47,33 @@ GAUSSIAN_SPAN_FACTOR = 12.0
 
 def noise_floor(per_theta_budget: int) -> float:
     return NOISE_FLOOR_COEF / math.sqrt(per_theta_budget)
+
+
+# ---------------------------------------------------------------------------
+# Ordered parallel map
+# ---------------------------------------------------------------------------
+
+def check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+
+
+def ordered_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], on min(threads, len(items)) pool threads.
+
+    Results come back in the order of `items` whatever the thread count.
+    Callers seed each item's work from its own keys, so the results do
+    not depend on the thread count either.  Threads pay off because the
+    work runs in numpy kernels that release the interpreter lock.
+    """
+    items = list(items)
+    workers = min(threads, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    # perfbench/tracer.py replaces this module's ThreadPoolExecutor to
+    # charge pool work to the span that submitted it
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +455,14 @@ def mean_theta_distance(
     target.  Nothing is subtracted from the estimates; the empirical-CDF
     noise floor is reported alongside.
     """
+    check_threads(threads)
     if theta_budget < 2:
         raise InsufficientDataError("need at least 2 directions for a standard error")
     if per_theta_budget < 100:
         raise InsufficientDataError("need at least 100 samples per direction")
-    if target == "phi" and spec.mean_square_norm != spec.n:
+    # the catalog's normalized eigenvalues sum to n only up to rounding
+    if target == "phi" and not math.isclose(spec.mean_square_norm, spec.n,
+                                            rel_tol=1e-12):
         raise DomainError(
             "target phi requires a normalized system with E|X|^2 = n")
     master = master_seed(rng)
@@ -446,12 +476,7 @@ def mean_theta_distance(
             project(spec, theta, per_theta_budget, make_rng(master, "batch", j)))
         return kolmogorov_distance(step, target_cdf).rho
 
-    indices = range(theta_budget)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_theta = np.array(list(pool.map(one_theta, indices)))
-    else:
-        per_theta = np.array([one_theta(j) for j in indices])
+    per_theta = np.array(ordered_map(one_theta, range(theta_budget), threads))
     return MeanThetaDistance(
         mean=float(per_theta.mean()),
         se=float(per_theta.std(ddof=1) / math.sqrt(theta_budget)),

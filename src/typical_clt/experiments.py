@@ -8,8 +8,10 @@ registered inequality check over the built-in catalog and reports one
 CSV row per check.
 
 Determinism: every Monte Carlo cell derives its seed from (master seed,
-cell key); output rows are sorted by cell key before writing, so CSV
-files are byte-identical across runs and thread counts.
+cell key), and cells may run on any thread.  Sweep rows come in n and
+direction order; verify rows in the fixed order of suites and their
+cells (catalog specs, checks).  So CSV files are byte-identical across
+runs and thread counts.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import configparser
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -216,15 +219,23 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> RateFit:
 # Verification suites
 # ---------------------------------------------------------------------------
 
+# A suite maps (budget scale, seed) to its cells: zero-argument callables,
+# each returning a BoundCheckReport and seeding itself from its own keys,
+# so that run_verify may run them on any thread.
+
 def _scaled(budget: int, scale: float, floor: int = 200) -> int:
     return max(floor, int(budget * scale))
 
 
-def _suite_sphere(scale: float, seed: int, threads: int) -> BoundCheckReport:
+def _sphere_checks(seed: int) -> BoundCheckReport:
     report = sl.gap_report()
     for check in report.checks:
         check.seed = seed
     return report
+
+
+def _suite_sphere(scale: float, seed: int) -> list:
+    return [partial(_sphere_checks, seed)]
 
 
 def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckReport:
@@ -321,15 +332,12 @@ def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckR
     return report
 
 
-def _suite_functionals(scale: float, seed: int, threads: int) -> BoundCheckReport:
-    report = BoundCheckReport()
-    for spec in default_catalog(64):
-        report.extend(_functional_checks(spec, scale, seed))
-    return report
+def _suite_functionals(scale: float, seed: int) -> list:
+    return [partial(_functional_checks, spec, scale, seed)
+            for spec in default_catalog(64)]
 
 
-def _suite_charfn(scale: float, seed: int, threads: int) -> BoundCheckReport:
-    report = BoundCheckReport()
+def _suite_charfn(scale: float, seed: int) -> list:
     budget = _scaled(DEFAULT_VERIFY_BUDGET, scale)
     specs = [
         SystemSpec(kind="trigonometric", n=64),
@@ -338,17 +346,18 @@ def _suite_charfn(scale: float, seed: int, threads: int) -> BoundCheckReport:
     ]
     poincare_ts = [0.0, 0.5, 1.0, 2.0, 4.0]
     decay_ts = np.linspace(0.0, 10.0, 11)
+    cells = []
     for spec in specs:
-        report.extend(cf.poincare_gap_check(
-            spec, poincare_ts, theta_budget=48, sample_budget=budget,
-            rng=_cell_seed(seed, "poincare", spec.spec_id)))
-        report.extend(cf.decay_bound_check(
-            spec, decay_ts, theta_budget=48, sample_budget=budget,
-            rng=_cell_seed(seed, "decay", spec.spec_id)))
-    return report
+        cells.append(partial(
+            cf.poincare_gap_check, spec, poincare_ts, theta_budget=48,
+            sample_budget=budget, rng=_cell_seed(seed, "poincare", spec.spec_id)))
+        cells.append(partial(
+            cf.decay_bound_check, spec, decay_ts, theta_budget=48,
+            sample_budget=budget, rng=_cell_seed(seed, "decay", spec.spec_id)))
+    return cells
 
 
-def _suite_tail(scale: float, seed: int, threads: int) -> BoundCheckReport:
+def _tail_checks(scale: float, seed: int) -> BoundCheckReport:
     report = BoundCheckReport()
     sims = _scaled(1_000_000, scale, floor=10_000)
     cases = [
@@ -370,6 +379,10 @@ def _suite_tail(scale: float, seed: int, threads: int) -> BoundCheckReport:
     return report
 
 
+def _suite_tail(scale: float, seed: int) -> list:
+    return [partial(_tail_checks, scale, seed)]
+
+
 SUITES = {
     "sphere": _suite_sphere,
     "functionals": _suite_functionals,
@@ -381,14 +394,20 @@ SUITES = {
 def run_verify(suite: str = "all", budget_scale: float = 1.0,
                seed: int = DEFAULT_SEED, threads: int = 1,
                output: str | None = None) -> BoundCheckReport:
-    """Run registered inequality suites; write one CSV row per check."""
+    """Run registered inequality suites; write one CSV row per check.
+
+    The suites' cells run on min(threads, cells) pool threads; their
+    checks are reported in the fixed cell order.
+    """
     if suite != "all" and suite not in SUITES:
         raise ConfigurationError(
             f"unknown suite {suite!r}; choose from {['all', *SUITES]}")
+    di.check_threads(threads)
     names = list(SUITES) if suite == "all" else [suite]
+    cells = [cell for name in names for cell in SUITES[name](budget_scale, seed)]
     report = BoundCheckReport()
-    for name in names:
-        report.extend(SUITES[name](budget_scale, seed, threads))
+    for cell_report in di.ordered_map(lambda cell: cell(), cells, threads):
+        report.extend(cell_report)
     header, rows = report.csv_rows()
     if output is not None:
         write_csv(output, header, rows)

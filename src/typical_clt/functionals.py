@@ -29,6 +29,7 @@ from .rng import as_rng, make_rng
 from .systems import SystemSpec, sample_vector
 
 BOOTSTRAP_REPS = 200
+PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -160,9 +161,21 @@ def moment_Mp(spec: SystemSpec, p: float, strategy: str = "auto",
 # ---------------------------------------------------------------------------
 
 def _pair_inner_products(spec: SystemSpec, pairs: int, rng) -> np.ndarray:
-    bx = sample_vector(spec, pairs, as_rng(rng, "pairs_x"))
-    by = sample_vector(spec, pairs, as_rng(rng, "pairs_y"))
-    return np.einsum("ij,ij->i", bx.matrix, by.matrix)
+    """<X_i, Y_i> over `pairs` independent pairs.
+
+    Y is drawn in PAIR_BLOCK-row blocks from one generator, which yields
+    the rows of a one-shot draw, so memory holds X and one block of Y.
+    X stays whole: a Generator `rng` serves both X and Y, and Y's draws
+    must follow all of X's.
+    """
+    x = sample_vector(spec, pairs, as_rng(rng, "pairs_x")).matrix
+    gen_y = as_rng(rng, "pairs_y")
+    out = np.empty(pairs)
+    for lo in range(0, pairs, PAIR_BLOCK):
+        hi = min(lo + PAIR_BLOCK, pairs)
+        y = sample_vector(spec, hi - lo, gen_y).matrix
+        out[lo:hi] = np.einsum("ij,ij->i", x[lo:hi], y)
+    return out
 
 
 def moment_mp(spec: SystemSpec, p: float, pairs: int = 20000, rng=0) -> Estimate:

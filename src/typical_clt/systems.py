@@ -174,14 +174,20 @@ def register_sampler(kind: str, sampler) -> None:
 
 def _sample_rows(spec: SystemSpec, count: int, gen: np.random.Generator) -> np.ndarray:
     n = spec.n
+    # affine maps act in place: no second count x n array
     # fixed-norm rademacher draws exactly like iid rademacher
     if spec.kind == "fixed_norm_rademacher" or spec.base == "rademacher":
-        return gen.integers(0, 2, size=(count, n)).astype(float) * 2.0 - 1.0
+        out = gen.integers(0, 2, size=(count, n)).astype(float)
+        out *= 2.0
+        out -= 1.0
+        return out
     if spec.kind == "iid":
         if spec.base == "uniform":
             return gen.uniform(-SQRT3, SQRT3, size=(count, n))
         if spec.base == "exponential":
-            return gen.standard_exponential(size=(count, n)) - 1.0
+            out = gen.standard_exponential(size=(count, n))
+            out -= 1.0
+            return out
         return gen.standard_normal(size=(count, n))
     if spec.kind == "trigonometric":
         omega = gen.uniform(-math.pi, math.pi, size=count)
@@ -194,8 +200,9 @@ def _sample_rows(spec: SystemSpec, count: int, gen: np.random.Generator) -> np.n
     if spec.kind == "walsh":
         return _walsh_rows(spec, gen.integers(0, 2, size=(count, spec.walsh_bits)))
     if spec.kind == "gaussian_anisotropic":
-        scale = np.sqrt(np.asarray(spec.eigenvalues))
-        return gen.standard_normal(size=(count, n)) * scale[None, :]
+        out = gen.standard_normal(size=(count, n))
+        out *= np.sqrt(np.asarray(spec.eigenvalues))
+        return out
     sampler = _EXTRA_SAMPLERS.get(spec.kind)
     if sampler is None:
         raise ConfigurationError(f"no sampler registered for kind {spec.kind!r}")

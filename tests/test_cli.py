@@ -23,6 +23,12 @@ class TestVerifyCommand:
     def test_unknown_suite_exit_two(self):
         assert run(["verify", "--suite", "bogus"]) == cli.EXIT_CONFIG_ERROR
 
+    def test_threads_below_one_exit_two(self, tmp_path):
+        out = tmp_path / "verify.csv"
+        code = run(["verify", "--suite", "tail", "--threads", "0", "--output", str(out)])
+        assert code == cli.EXIT_CONFIG_ERROR
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_small_sweep(self, tmp_path, capsys):

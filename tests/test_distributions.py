@@ -7,7 +7,7 @@ from scipy.stats import ks_2samp
 
 from typical_clt import distributions as di
 from typical_clt import systems as sy
-from typical_clt.errors import DomainError, InsufficientDataError
+from typical_clt.errors import ConfigurationError, DomainError, InsufficientDataError
 from typical_clt.quadrature import kernel_sum
 from typical_clt.sphere_law import gap_report
 
@@ -269,6 +269,24 @@ class TestMeanThetaDistance:
     def test_target_validation(self):
         with pytest.raises(DomainError):
             di.mean_theta_distance(spec_iid("normal"), "H")
+
+    def test_normalized_aniso_accepts_phi(self):
+        # its eigenvalues sum to 63.999999999999886, n only up to rounding
+        spec = sy.built_in_spec("aniso", 64)
+        res = di.mean_theta_distance(spec, "phi", theta_budget=2,
+                                     per_theta_budget=500, rng=3)
+        assert 0.0 < res.mean < 1.0
+
+    def test_unnormalized_aniso_rejects_phi(self):
+        spec = sy.SystemSpec(kind="gaussian_anisotropic", n=64,
+                             eigenvalues=sy.spiked_eigenvalues(64, normalize=False))
+        with pytest.raises(DomainError):
+            di.mean_theta_distance(spec, "phi", theta_budget=2, per_theta_budget=500)
+
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(ConfigurationError):
+            di.mean_theta_distance(spec_iid("normal", 8), "phi", theta_budget=2,
+                                   per_theta_budget=500, threads=0)
 
     def test_thread_determinism(self):
         spec = sy.SystemSpec(kind="trigonometric", n=16)

@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -206,6 +207,34 @@ class TestRunVerify:
         if small.all_passed:
             big = ex.run_verify(suite="tail", budget_scale=0.08, seed=9)
             assert big.all_passed
+
+    def test_threads_below_one_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError):
+            ex.run_verify(suite="tail", threads=0)
+        cfg = ex.SweepConfig(system="normal", n_list=(8, 16), theta_budget=2,
+                             per_theta_budget=100, output=str(tmp_path / "s.csv"))
+        with pytest.raises(ConfigurationError):
+            ex.run_sweep(cfg, threads=0)
+        assert not os.path.exists(cfg.output)
+
+    @pytest.mark.parametrize("suite", list(ex.SUITES))
+    def test_threads_honoured(self, suite, monkeypatch):
+        # pooled cells give the serial run's rows; functionals' 8 cells
+        # are seen running on more than one thread
+        idents = set()
+        original = ex._functional_checks
+
+        def recording(*args):
+            idents.add(threading.get_ident())
+            return original(*args)
+
+        monkeypatch.setattr(ex, "_functional_checks", recording)
+        serial = ex.run_verify(suite=suite, budget_scale=0.02, threads=1)
+        idents.clear()
+        pooled = ex.run_verify(suite=suite, budget_scale=0.02, threads=2)
+        assert ex.render_verify_csv(pooled) == ex.render_verify_csv(serial)
+        if suite == "functionals":
+            assert len(idents) > 1
 
     def test_seed_recorded_in_rows(self, tmp_path):
         rep = ex.run_verify(suite="tail", budget_scale=0.05, seed=77)

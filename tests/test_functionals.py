@@ -8,6 +8,7 @@ from scipy.stats import binom
 from typical_clt import functionals as fn
 from typical_clt import systems as sy
 from typical_clt.errors import DomainError, InsufficientDataError
+from typical_clt.rng import as_rng
 
 
 def spec_iid(base, n=64):
@@ -95,6 +96,24 @@ class TestMomentMpPairs:
     def test_pair_budget(self):
         with pytest.raises(InsufficientDataError):
             fn.moment_mp(spec_iid("normal"), 2.0, pairs=50)
+
+
+class TestPairInnerProducts:
+    PAIRS = 2 * fn.PAIR_BLOCK + 123  # above the block size, not a multiple of it
+
+    @pytest.mark.parametrize("spec", sy.default_catalog(8), ids=lambda s: s.spec_id)
+    @pytest.mark.parametrize("seed", ["int", "generator"])
+    def test_streamed_equals_one_shot(self, spec, seed):
+        def fresh():
+            return 11 if seed == "int" else np.random.default_rng(5)
+
+        ref_rng, rng = fresh(), fresh()
+        x = sy.sample_vector(spec, self.PAIRS, as_rng(ref_rng, "pairs_x")).matrix
+        y = sy.sample_vector(spec, self.PAIRS, as_rng(ref_rng, "pairs_y")).matrix
+        got = fn._pair_inner_products(spec, self.PAIRS, rng)
+        assert np.array_equal(got, np.einsum("ij,ij->i", x, y))
+        if seed == "generator":  # later draws continue from the same state
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSigma2p:

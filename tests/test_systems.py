@@ -103,6 +103,21 @@ class TestSampling:
             out[lo:hi] = sy._sample_rows(spec, hi - lo, make_rng(7, "shard", shard))
         assert np.array_equal(batch.matrix, out)
 
+    @pytest.mark.parametrize("spec, reference", [
+        (spec_iid("rademacher", 8),
+         lambda gen: gen.integers(0, 2, size=(500, 8)).astype(float) * 2.0 - 1.0),
+        (sy.SystemSpec(kind="fixed_norm_rademacher", n=8),
+         lambda gen: gen.integers(0, 2, size=(500, 8)).astype(float) * 2.0 - 1.0),
+        (spec_iid("exponential", 8),
+         lambda gen: gen.standard_exponential(size=(500, 8)) - 1.0),
+        (sy.built_in_spec("aniso", 8),
+         lambda gen: gen.standard_normal(size=(500, 8))
+         * np.sqrt(np.asarray(sy.spiked_eigenvalues(8)))[None, :]),
+    ], ids=["rademacher", "fixed_norm", "exponential", "aniso"])
+    def test_in_place_affine_maps_match_reference(self, spec, reference):
+        got = sy.sample_vector(spec, 500, make_rng(3, "x")).matrix
+        assert np.array_equal(got, reference(make_rng(3, "x")))
+
     def test_count_validation(self):
         with pytest.raises(ConfigurationError):
             sy.sample_vector(spec_iid("normal"), 0, 1)
