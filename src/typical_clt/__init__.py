@@ -10,20 +10,17 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigurationError, DomainError, FitUnavailableError,
                      InsufficientDataError, NumericKernelError)
-from .sphere_law import (Direction, SphereCoordinateLaw, cdf, charfn_Jn,
-                         density, gap_report, norm_const, sample_direction)
-from .systems import (SampleBatch, SystemSpec, built_in_spec,
-                      covariance_summary, default_catalog, project,
-                      sample_vector, weighted_sum)
+from .sphere_law import (Direction, SphereCoordinateLaw, cdf, density,
+                         gap_report, norm_const, sample_direction)
+from .systems import (SampleBatch, SystemSpec, built_in_spec, default_catalog,
+                      project, sample_vector, weighted_sum)
 from .functionals import (Estimate, FunctionalsReport, LowerTailBound,
                           MomentEstimate, compute_functionals,
                           lower_tail_bound, moment_Mp, moment_mp,
                           norm_variance_check, sigma_2p, small_ball)
 from .distributions import (DistanceReport, MeanThetaDistance, MixtureCDF,
-                            StepCDF, empirical_cdf, gaussian_mixture_cdf,
-                            kolmogorov_distance, mean_theta_distance,
-                            noise_floor, typical_cdf,
-                            weighted_total_variation)
+                            StepCDF, gaussian_mixture_cdf, kolmogorov_distance,
+                            mean_theta_distance, noise_floor, typical_cdf)
 from .charfn import (CharFnEstimate, charfn_typical, charfn_weighted_sum,
                      decay_bound_check, poincare_gap_check, smoothing_report,
                      smoothing_rhs)

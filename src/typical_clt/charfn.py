@@ -23,7 +23,6 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError
 from .functionals import SmallBallResult, moment_Mp, small_ball
 from .reports import BoundCheck, BoundCheckReport
-from .quadrature import kernel_sum
 from .rng import make_rng, master_seed
 from .sphere_law import Direction, jn_table, sample_direction
 from .systems import SystemSpec, project, sample_vector
@@ -38,6 +37,8 @@ def default_t_grid(t_max: float, points: int = DEFAULT_GRID_POINTS) -> np.ndarra
     """Log-spaced grid on [1e-3, t_max]; cf integrands vary multiplicatively."""
     if t_max <= GRID_T_MIN:
         raise DomainError(f"t_max must exceed {GRID_T_MIN}, got {t_max}")
+    if points < 2:
+        raise DomainError(f"a t grid needs at least 2 points, got {points}")
     return np.geomspace(GRID_T_MIN, t_max, points)
 
 
@@ -125,18 +126,6 @@ def charfn_typical(spec: SystemSpec, t_grid, radial_budget: int = 100_000,
     return CharFnEstimate(t=t, values=vals, se=ses, budget=radial_budget)
 
 
-def mixture_charfn(mix, t) -> np.ndarray:
-    """Exact cf of a radial mixture CDF (real by symmetry)."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    radii, weights = compress_atoms(mix.radii, mix.weights, CF_COMPRESS_ATOMS)
-    chunk = max(1, t.size)  # one block: the whole grid against every atom
-    if mix.kernel == "gaussian":
-        return kernel_sum(lambda tt, r: np.exp(-0.5 * np.square(tt * r)),
-                          t, radii, weights, chunk)
-    jn, root_n = jn_table(mix.n), math.sqrt(mix.n)
-    return kernel_sum(lambda tt, r: jn(tt * r * root_n), t, radii, weights, chunk)
-
-
 # ---------------------------------------------------------------------------
 # Direction-concentration checks
 # ---------------------------------------------------------------------------
@@ -146,8 +135,8 @@ def _per_theta_cf_matrix(spec: SystemSpec, t: np.ndarray, theta_budget: int,
     rows = np.empty((theta_budget, t.shape[0]), dtype=complex)
     for j in range(theta_budget):
         theta = sample_direction(spec.n, make_rng(seed, "cf_theta", j))
-        s = project(spec, theta, sample_budget, make_rng(seed, "cf_batch", j))
-        rows[j], _ = _empirical_cf(s, t)
+        rows[j] = charfn_weighted_sum(spec, theta, t, sample_budget,
+                                      make_rng(seed, "cf_batch", j)).values
     return rows
 
 
@@ -163,7 +152,7 @@ def poincare_gap_check(spec: SystemSpec, t_grid, theta_budget: int = 48,
     """
     seed = master_seed(rng)
     t = np.asarray(t_grid, dtype=float)
-    m2 = moment_Mp(spec, 2.0, strategy="analytic")
+    m2 = moment_Mp(spec, 2.0)
     m1_sq = m2.value ** 2
     rows = _per_theta_cf_matrix(spec, t, theta_budget, sample_budget, seed)
     center = rows.mean(axis=0)

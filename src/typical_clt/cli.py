@@ -25,6 +25,14 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 
 
+def _moment_orders(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="typical-clt",
@@ -48,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("functionals", help="estimate moment functionals")
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", default="2,3", help="comma-separated moment orders")
+    p.add_argument("--p", type=_moment_orders, default="2,3",
+                   help="comma-separated moment orders")
     p.add_argument("--budget", type=int, default=ex.DEFAULT_VERIFY_BUDGET)
     p.add_argument("--seed", type=int, default=ex.DEFAULT_SEED)
     p.add_argument("--output", default=None)
@@ -108,8 +117,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_functionals(args) -> int:
     spec = built_in_spec(args.spec, args.n)
-    p_values = tuple(float(tok) for tok in args.p.split(","))
-    report = fn.compute_functionals(spec, p_values=p_values,
+    report = fn.compute_functionals(spec, p_values=args.p,
                                     budget=args.budget, seed=args.seed)
     header, rows = report.csv_rows()
     if args.output:
@@ -131,14 +139,7 @@ def _cmd_distance(args) -> int:
           f"(noise floor {res.noise_floor:.6f}, target {args.target}, "
           f"spec {spec.spec_id})")
     if args.output:
-        rows = [[res.spec_id, res.n, res.target, j, float(r),
-                 res.theta_budget, res.per_theta_budget, res.radial_budget,
-                 res.seed]
-                for j, r in enumerate(res.per_theta)]
-        write_csv(args.output,
-                  ["spec_id", "n", "target", "theta_index", "rho",
-                   "theta_budget", "per_theta_budget", "radial_budget", "seed"],
-                  rows)
+        write_csv(args.output, ex.PER_THETA_HEADER, ex.per_theta_rows(res, res.seed))
         print(f"wrote {args.output}")
     return EXIT_OK
 

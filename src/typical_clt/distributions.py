@@ -1,15 +1,16 @@
-"""Empirical and mixture CDFs, Kolmogorov distance, weighted total variation.
+"""Empirical and mixture CDFs, and the Kolmogorov distance between them.
 
 The typical distribution of the weighted sums is represented as a scale
-mixture: an average of kernel CDFs K(x / r) over radial atoms r >= 0
+mixture: an average of kernel CDFs K(x / r) over radial atoms r > 0
 with weights summing to one.  The kernel is either the standard normal
-CDF or the sphere-coordinate CDF for a given dimension.  An atom at
-r = 0 contributes a unit step at the origin.
+CDF or the sphere-coordinate CDF for a given dimension, so a mixture is
+continuous.  Its atoms are r = |X|/sqrt(n), positive almost surely, or
+the single atom r = 1 of a fixed-norm system.
 
 Kolmogorov distances are exact for step-vs-step and step-vs-mixture
-inputs (the sup is attained at a jump, where both one-sided limits are
-checked); mixture-vs-mixture distances use a documented grid with local
-refinement.
+inputs (the sup is attained at a jump of the step CDF, where both of its
+one-sided limits are checked); mixture-vs-mixture distances use a fixed
+grid with local refinement.
 
 Mixtures with many atoms are evaluated through an equal-weight quantile
 compression plus a dense lookup table; small mixtures are evaluated
@@ -31,8 +32,7 @@ from scipy.special import ndtr
 from .errors import ConfigurationError, DomainError, InsufficientDataError
 from .quadrature import kernel_sum
 from .rng import make_rng, master_seed
-from .sphere_law import SphereCoordinateLaw, cdf_table, density_grid, normal_pdf, \
-    sample_direction
+from .sphere_law import cdf_table, sample_direction
 from .systems import SystemSpec, project, sample_vector
 
 # E sup_x |F_N(x) - F(x)| ~ sqrt(pi/2) ln(2) / sqrt(N) for an N-sample
@@ -107,10 +107,6 @@ class StepCDF:
         return np.unique(self.values)
 
 
-def empirical_cdf(samples) -> StepCDF:
-    return StepCDF.from_samples(samples)
-
-
 # ---------------------------------------------------------------------------
 # Mixture CDF
 # ---------------------------------------------------------------------------
@@ -151,8 +147,8 @@ class MixtureCDF:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.radii.shape != self.weights.shape or self.radii.ndim != 1:
             raise DomainError("radii and weights must be 1-d arrays of equal length")
-        if np.any(self.radii < 0.0):
-            raise DomainError("radial atoms must be nonnegative")
+        if np.any(self.radii <= 0.0):
+            raise DomainError("radial atoms must be positive")
         if np.any(self.weights <= 0.0):
             raise DomainError("atom weights must be positive")
         total = self.weights.sum()
@@ -170,19 +166,6 @@ class MixtureCDF:
         if self.kernel == "gaussian":
             return ndtr(z)
         return cdf_table(self.n)(z)
-
-    def _kernel_pdf(self, z):
-        if self.kernel == "gaussian":
-            return normal_pdf(z)
-        return density_grid(SphereCoordinateLaw.for_dimension(self.n), z)
-
-    @property
-    def has_zero_atom(self) -> bool:
-        return bool(np.any(self.radii == 0.0))
-
-    @property
-    def zero_weight(self) -> float:
-        return float(self.weights[self.radii == 0.0].sum())
 
     @property
     def max_radius(self) -> float:
@@ -203,54 +186,27 @@ class MixtureCDF:
 
     def _ensure_lut(self):
         if self._lut is None:
-            r, w = compress_atoms(self.radii[self.radii > 0],
-                                  self.weights[self.radii > 0], COMPRESS_ATOMS)
+            r, w = compress_atoms(self.radii, self.weights, COMPRESS_ATOMS)
             w = w / w.sum()
             span = self.span
             grid = np.linspace(-span, span, LUT_POINTS)
             self._lut = (grid, self._direct(grid, r, w))
         return self._lut
 
-    def cdf(self, x, exact: bool | None = None):
+    def cdf(self, x):
         """Mixture CDF at x (scalar or array).
 
-        exact=None picks direct summation when atoms * points is small and
-        the cached lookup table otherwise; exact=True forces direct
-        summation over all atoms.
+        Direct summation over all atoms when atoms * points is small, the
+        cached lookup table otherwise.
         """
         scalar = np.isscalar(x)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        pos = self.radii > 0.0
-        r, w = self.radii[pos], self.weights[pos]
-        if r.size == 0:
-            vals = np.zeros(x.shape)
-        elif exact is True or (exact is None and x.size * r.size <= EXACT_PRODUCT_LIMIT):
-            vals = self._direct(x, r, w)
+        if x.size * self.radii.size <= EXACT_PRODUCT_LIMIT:
+            vals = self._direct(x, self.radii, self.weights)
         else:
             grid, lut = self._ensure_lut()
-            vals = np.interp(x, grid, lut, left=0.0, right=float(w.sum()))
-        w0 = self.zero_weight
-        if w0 > 0.0:
-            vals = vals + w0 * (x >= 0.0)
+            vals = np.interp(x, grid, lut, left=0.0, right=float(self.weights.sum()))
         return float(vals[0]) if scalar else vals
-
-    def cdf_left(self, x):
-        """Left limits; differs from cdf only at 0 when a zero atom exists."""
-        vals = np.atleast_1d(np.asarray(self.cdf(x), dtype=float)).copy()
-        if self.has_zero_atom:
-            x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-            vals[x_arr == 0.0] -= self.zero_weight
-        return float(vals[0]) if np.isscalar(x) else vals
-
-    def density(self, x) -> np.ndarray:
-        """Mixture density; undefined when a zero-radius atom is present."""
-        if self.has_zero_atom:
-            raise DomainError("mixture with a zero-radius atom has no density")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        r, w = compress_atoms(self.radii, self.weights, COMPRESS_ATOMS)
-        w = w / w.sum()
-        return kernel_sum(lambda xs, rr: self._kernel_pdf(xs / rr), x, r, w / r,
-                          chunk=max(1, int(4e6 // r.size)))
 
 
 def gaussian_mixture_cdf(atoms) -> MixtureCDF:
@@ -307,14 +263,8 @@ def _ks_step_step(a: StepCDF, b: StepCDF) -> DistanceReport:
 
 def _ks_step_mixture(step: StepCDF, mix: MixtureCDF) -> DistanceReport:
     pts = step.jump_points()
-    if mix.has_zero_atom:
-        pts = np.unique(np.concatenate([pts, [0.0]]))
-    m_right = np.atleast_1d(mix.cdf(pts))
-    m_left = np.atleast_1d(mix.cdf_left(pts))
-    d = np.maximum(
-        np.abs(step.cdf(pts) - m_right),
-        np.abs(step.cdf_left(pts) - m_left),
-    )
+    m = mix.cdf(pts)  # continuous: one value serves both one-sided limits
+    d = np.maximum(np.abs(step.cdf(pts) - m), np.abs(step.cdf_left(pts) - m))
     i = int(np.argmax(d))
     return DistanceReport(rho=float(d[i]), location=float(pts[i]),
                           method="step-mixture", metadata={"points": pts.size})
@@ -326,9 +276,7 @@ def _ks_mixture_mixture(a: MixtureCDF, b: MixtureCDF, grid_points: int = 8193,
 
     span = max(a.span, b.span)
     xs = np.linspace(-span, span, grid_points)
-    if a.has_zero_atom or b.has_zero_atom:
-        xs = np.unique(np.concatenate([xs, [0.0]]))
-    diff = np.abs(np.atleast_1d(a.cdf(xs)) - np.atleast_1d(b.cdf(xs)))
+    diff = np.abs(a.cdf(xs) - b.cdf(xs))
     best_val = float(diff.max())
     best_x = float(xs[int(np.argmax(diff))])
     top = np.argsort(diff)[-refine:]
@@ -344,11 +292,6 @@ def _ks_mixture_mixture(a: MixtureCDF, b: MixtureCDF, grid_points: int = 8193,
         if -res.fun > best_val:
             best_val = float(-res.fun)
             best_x = float(res.x)
-    # left limits matter only at the shared zero-atom step
-    if a.has_zero_atom or b.has_zero_atom:
-        dl = abs(float(a.cdf_left(0.0)) - float(b.cdf_left(0.0)))
-        if dl > best_val:
-            best_val, best_x = dl, 0.0
     return DistanceReport(rho=best_val, location=best_x, method="mixture-mixture",
                           metadata={"grid_points": grid_points, "refined": refine})
 
@@ -364,47 +307,6 @@ def kolmogorov_distance(u, v) -> DistanceReport:
     if isinstance(u, MixtureCDF) and isinstance(v, MixtureCDF):
         return _ks_mixture_mixture(u, v)
     raise DomainError(f"cannot compare {type(u).__name__} with {type(v).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Weighted total variation
-# ---------------------------------------------------------------------------
-
-def _gaussian_tail_weighted_mass(radii, weights, span: float) -> float:
-    """integral of (1 + x^2) times the mixture density over |x| > span."""
-    z = span / radii
-    q = ndtr(-z)
-    one_sided = (1.0 + np.square(radii)) * q + radii * span * normal_pdf(z)
-    return float(2.0 * np.dot(weights, one_sided))
-
-
-def weighted_total_variation(a: MixtureCDF, b: MixtureCDF, grid=None) -> float:
-    """integral of (1 + x^2) |density_a - density_b| over the line.
-
-    Evaluated on a truncated grid; the (negligible) tail mass outside the
-    grid is bounded analytically and added to the result.
-    """
-    if a.has_zero_atom or b.has_zero_atom:
-        raise DomainError("weighted total variation needs density representations "
-                          "(no zero-radius atoms)")
-    if grid is None:
-        span = max(a.span, b.span)
-        grid = np.linspace(-span, span, 32769)
-    grid = np.asarray(grid, dtype=float)
-    integrand = (1.0 + np.square(grid)) * np.abs(a.density(grid) - b.density(grid))
-    value = float(np.trapezoid(integrand, grid))
-    span = float(np.max(np.abs(grid)))
-    tail = 0.0
-    for mix in (a, b):
-        if mix.kernel == "gaussian":
-            tail += _gaussian_tail_weighted_mass(mix.radii, mix.weights, span)
-        elif mix.span > span:
-            # sphere kernel mass beyond the grid (only if the grid is narrower
-            # than the support); bounded by the full weighted mass out there
-            xs = np.linspace(span, mix.span, 4097)
-            dens = mix.density(xs)
-            tail += 2.0 * float(np.trapezoid((1.0 + np.square(xs)) * dens, xs))
-    return value + tail
 
 
 # ---------------------------------------------------------------------------

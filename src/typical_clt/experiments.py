@@ -172,6 +172,17 @@ def fit_rate(rows) -> RateFit:
 # Sweeps
 # ---------------------------------------------------------------------------
 
+PER_THETA_HEADER = ["spec_id", "n", "target", "theta_index", "rho",
+                    "theta_budget", "per_theta_budget", "radial_budget", "seed"]
+
+
+def per_theta_rows(res: di.MeanThetaDistance, seed: int) -> list:
+    """One PER_THETA_HEADER row per direction of `res`, tagged with `seed`."""
+    return [[res.spec_id, res.n, res.target, j, float(rho), res.theta_budget,
+             res.per_theta_budget, res.radial_budget, seed]
+            for j, rho in enumerate(res.per_theta)]
+
+
 def _summary_path(output: str) -> str:
     stem, ext = os.path.splitext(output)
     return f"{stem}_summary{ext or '.csv'}"
@@ -196,18 +207,10 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> RateFit:
             radial_budget=config.radial_budget,
             rng=cell_seed, threads=threads,
         )
-        for j, rho in enumerate(res.per_theta):
-            detail_rows.append([
-                spec.spec_id, n, config.target, j, float(rho),
-                config.theta_budget, config.per_theta_budget,
-                config.radial_budget, config.seed,
-            ])
+        detail_rows.extend(per_theta_rows(res, config.seed))
         summary.append(SweepRow(n=n, mean_rho=res.mean, se=res.se,
                                 noise_floor=res.noise_floor))
-    write_csv(config.output,
-              ["spec_id", "n", "target", "theta_index", "rho",
-               "theta_budget", "per_theta_budget", "radial_budget", "seed"],
-              detail_rows)
+    write_csv(config.output, PER_THETA_HEADER, detail_rows)
     write_csv(_summary_path(config.output),
               ["n", "mean_rho", "se", "noise_floor", "admissible"],
               [[r.n, r.mean_rho, r.se, r.noise_floor, r.admissible]
@@ -402,6 +405,9 @@ def run_verify(suite: str = "all", budget_scale: float = 1.0,
     if suite != "all" and suite not in SUITES:
         raise ConfigurationError(
             f"unknown suite {suite!r}; choose from {['all', *SUITES]}")
+    if not (math.isfinite(budget_scale) and budget_scale > 0.0):
+        raise ConfigurationError(
+            f"budget scale must be finite and positive, got {budget_scale}")
     di.check_threads(threads)
     names = list(SUITES) if suite == "all" else [suite]
     cells = [cell for name in names for cell in SUITES[name](budget_scale, seed)]

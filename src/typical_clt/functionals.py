@@ -10,10 +10,10 @@ together with the variance chain for |X|, the small-ball probability
 P{|X - Y|^2 <= n/4} with its moment bound, and the exponential lower-tail
 bound for sums of nonnegative i.i.d. variables with unit mean.
 
-The M_p "search" strategy maximizes an empirical L^p norm over candidate
-directions with coordinate-ascent refinement; it is a lower-bound
-estimate and is flagged as such, so checks that need an upper bound on
-M_p must use the analytic strategy.
+M_p is exact where a closed form exists (Gaussian systems, and p = 2 for
+isotropic ones, so M_2 for every kind).  Elsewhere a search maximizes an
+empirical L^p norm over candidate directions with coordinate-ascent
+refinement; that is a lower-bound estimate and is flagged as such.
 """
 
 from __future__ import annotations
@@ -74,9 +74,11 @@ class MomentEstimate:
     value: float
     se: float
     strategy: str           # "analytic" or "search"
-    is_lower_bound: bool    # True for search results
-    fell_back: bool = False # analytic was requested but unavailable
     direction: np.ndarray | None = None
+
+    @property
+    def is_lower_bound(self) -> bool:
+        return self.strategy == "search"
 
 
 def _analytic_Mp(spec: SystemSpec, p: float) -> float | None:
@@ -128,32 +130,22 @@ def _search_Mp(spec: SystemSpec, p: float, budget: int, n_directions: int,
     mean = v.mean()
     se = v.std(ddof=1) / math.sqrt(budget) * (1.0 / p) * mean ** (1.0 / p - 1.0)
     return MomentEstimate(value=value, se=float(se), strategy="search",
-                          is_lower_bound=True, direction=theta)
+                          direction=theta)
 
 
-def moment_Mp(spec: SystemSpec, p: float, strategy: str = "auto",
-              budget: int = 20000, n_directions: int = 64, rng=0) -> MomentEstimate:
+def moment_Mp(spec: SystemSpec, p: float, budget: int = 20000,
+              n_directions: int = 64, rng=0) -> MomentEstimate:
     """Maximal L^p norm of the linear marginals.
 
-    strategy "analytic" uses closed forms (exact, SE 0) where they exist
-    and otherwise falls back to "search" with the fell_back flag set.
-    Search maximizes the empirical L^p norm and is a lower-bound estimate.
+    The closed form (exact, SE 0) where one exists, otherwise the search
+    over directions, which is a lower-bound estimate.
     """
     if p < 1:
         raise DomainError(f"moment order must satisfy p >= 1, got {p}")
-    if strategy not in ("auto", "analytic", "search"):
-        raise DomainError(f"unknown strategy {strategy!r}")
     analytic = _analytic_Mp(spec, p)
-    if strategy in ("auto", "analytic") and analytic is not None:
-        return MomentEstimate(value=analytic, se=0.0, strategy="analytic",
-                              is_lower_bound=False)
-    fell_back = strategy == "analytic"
-    est = _search_Mp(spec, p, budget, n_directions, rng)
-    if fell_back:
-        est = MomentEstimate(value=est.value, se=est.se, strategy=est.strategy,
-                             is_lower_bound=True, fell_back=True,
-                             direction=est.direction)
-    return est
+    if analytic is not None:
+        return MomentEstimate(value=analytic, se=0.0, strategy="analytic")
+    return _search_Mp(spec, p, budget, n_directions, rng)
 
 
 # ---------------------------------------------------------------------------

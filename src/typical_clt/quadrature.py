@@ -2,9 +2,9 @@
 
 The oscillatory cosine transforms in this package are integrated with a
 fixed-order rule on panels whose count scales with the oscillation
-frequency of the integrand.  Mixture CDFs, densities and cfs, and the
-quadrature itself, are all sums f(x_i, node_j) @ weights, evaluated by
-`kernel_sum` a bounded block of rows at a time.
+frequency of the integrand.  Mixture CDFs and the quadrature itself are
+both sums f(x_i, node_j) @ weights, evaluated by `kernel_sum` a bounded
+block of rows at a time.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import betainc, hyp0f1, ndtr
+from scipy.special import betainc, hyp0f1
 
 from .errors import DomainError, NumericKernelError
 from .quadrature import kernel_sum, panel_nodes
@@ -48,10 +48,6 @@ JN_CLOSED_FORM_MAX_N = 12
 
 def normal_pdf(x):
     return INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
-
-
-def normal_cdf(x):
-    return ndtr(x)
 
 
 def log_norm_const(n: int) -> float:
@@ -219,44 +215,18 @@ def _jn_apply(sin_u, g, args) -> np.ndarray:
     return kernel_sum(lambda s, x: np.cos(s * x), args, sin_u, g, chunk=256)
 
 
-def charfn_Jn(law: SphereCoordinateLaw, t: float) -> float:
-    """J_n(t): cosine transform of the unscaled coordinate density.
-
-    Adaptive panel doubling; raises NumericKernelError when two successive
-    refinements fail to agree to rtol 1e-9 (abs floor 1e-12).
-    """
-    t = float(t)
-    if t == 0.0:
-        return 1.0
-    s = abs(t)  # even function
-    n = law.n
-    sin_u, g, panels = _jn_rule(n, s)
-    prev = float(_jn_apply(sin_u, g, [s])[0])
-    for _ in range(6):
-        panels *= 2
-        sin_u, g, _ = _jn_rule(n, s, panels=panels)
-        cur = float(_jn_apply(sin_u, g, [s])[0])
-        if abs(cur - prev) <= max(1e-9 * abs(cur), 1e-12):
-            return cur
-        prev = cur
-    raise NumericKernelError(
-        f"J_n quadrature did not converge: n={n}, t={t}, panels={panels}, "
-        f"delta={abs(cur - prev):.3e}"
-    )
-
-
-def charfn_Jn_grid(law: SphereCoordinateLaw, args, verify: bool = True) -> np.ndarray:
+def charfn_Jn_grid(law: SphereCoordinateLaw, args) -> np.ndarray:
     """Vectorized J_n over an array of arguments (one shared rule).
 
-    With verify=True a subsample is recomputed at doubled panel count and
-    must agree to 1e-10 in absolute value.
+    A subsample is recomputed at doubled panel count and must agree to
+    1e-10 in absolute value; NumericKernelError otherwise.
     """
     args = np.atleast_1d(np.asarray(args, dtype=float))
     s = np.abs(args)
     max_arg = float(s.max()) if s.size else 0.0
     sin_u, g, panels = _jn_rule(law.n, max_arg)
     vals = _jn_apply(sin_u, g, s)
-    if verify and s.size:
+    if s.size:
         idx = np.unique(np.linspace(0, s.size - 1, min(48, s.size)).astype(int))
         order = np.argsort(s)
         check_idx = np.unique(np.concatenate([idx, order[-4:]]))

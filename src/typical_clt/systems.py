@@ -1,10 +1,11 @@
-"""Declarative catalog, samplers and matrix-free projections.
+"""System specs, their samplers and matrix-free projections.
 
-Every built-in system is centered with unit-variance coordinates, so
+A system is one of the closed set of kinds in KINDS, with its
+parameters.  Every one is centered with unit-variance coordinates, so
 E|X|^2 = n, except the anisotropic Gaussian where E|X|^2 is the sum of
 the covariance eigenvalues.  Samplers are deterministic given (spec,
-seed): large batches are sharded with per-shard derived seeds so the
-assembled matrix never depends on execution order.
+integer seed): large batches are sharded with per-shard derived seeds,
+so the assembled matrix never depends on execution order.
 
 `project` returns the weighted sums <X, theta> from the same draws as
 `weighted_sum(sample_vector(...))`, without the N x n matrix where the
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, InsufficientDataError
+from .errors import ConfigurationError, DomainError
 from .rng import as_rng, make_rng
 from .sphere_law import Direction
 
@@ -72,7 +73,7 @@ class SystemSpec:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
             raise ConfigurationError(f"dimension must be an integer >= 2, got {self.n}")
-        if self.kind not in KINDS and self.kind not in _EXTRA_SAMPLERS:
+        if self.kind not in KINDS:
             raise ConfigurationError(f"unknown system kind {self.kind!r}")
         if self.kind == "iid":
             if self.base not in IID_BASES:
@@ -119,7 +120,7 @@ class SystemSpec:
             "walsh": "walsh",
             "fixed_norm_rademacher": "fixed_norm",
             "gaussian_anisotropic": "aniso",
-        }.get(self.kind, self.kind)
+        }[self.kind]
         return f"{short}-n{self.n}"
 
     @property
@@ -157,19 +158,10 @@ class SystemSpec:
 class SampleBatch:
     matrix: np.ndarray
     spec: SystemSpec
-    seed: int | None
 
     @property
     def count(self) -> int:
         return self.matrix.shape[0]
-
-
-_EXTRA_SAMPLERS: dict = {}
-
-
-def register_sampler(kind: str, sampler) -> None:
-    """In-process extension point: sampler(spec, count, generator) -> matrix."""
-    _EXTRA_SAMPLERS[kind] = sampler
 
 
 def _sample_rows(spec: SystemSpec, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -199,14 +191,9 @@ def _sample_rows(spec: SystemSpec, count: int, gen: np.random.Generator) -> np.n
         return out
     if spec.kind == "walsh":
         return _walsh_rows(spec, gen.integers(0, 2, size=(count, spec.walsh_bits)))
-    if spec.kind == "gaussian_anisotropic":
-        out = gen.standard_normal(size=(count, n))
-        out *= np.sqrt(np.asarray(spec.eigenvalues))
-        return out
-    sampler = _EXTRA_SAMPLERS.get(spec.kind)
-    if sampler is None:
-        raise ConfigurationError(f"no sampler registered for kind {spec.kind!r}")
-    return np.asarray(sampler(spec, count, gen), dtype=float)
+    out = gen.standard_normal(size=(count, n))  # gaussian_anisotropic
+    out *= np.sqrt(np.asarray(spec.eigenvalues))
+    return out
 
 
 def _walsh_rows(spec: SystemSpec, bits: np.ndarray) -> np.ndarray:
@@ -245,8 +232,7 @@ def sample_vector(spec: SystemSpec, count: int, rng) -> SampleBatch:
     """
     matrix = _in_shards(lambda rows, gen: _sample_rows(spec, rows, gen), count, rng,
                         (spec.n,))
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
-    return SampleBatch(matrix=matrix, spec=spec, seed=seed)
+    return SampleBatch(matrix=matrix, spec=spec)
 
 
 def weighted_sum(batch: SampleBatch, theta: Direction) -> np.ndarray:
@@ -305,39 +291,6 @@ def project(spec: SystemSpec, theta: Direction, count: int, rng) -> np.ndarray:
     else:
         return weighted_sum(sample_vector(spec, count, rng), theta)
     return _in_shards(draw, count, rng)
-
-
-@dataclass(frozen=True)
-class CovarianceSummary:
-    max_eigenvalue: float   # M_2^2
-    trace: float            # E|X|^2
-    mean_square_eigenvalue: float  # (1/n) sum lambda_i^2 = m_2^2
-    exact: bool
-
-
-def covariance_summary(spec: SystemSpec, budget: int, rng=0) -> CovarianceSummary:
-    """Eigen-summary of the covariance; exact for anisotropic Gaussians."""
-    if spec.kind == "gaussian_anisotropic":
-        eig = np.asarray(spec.eigenvalues)
-        return CovarianceSummary(
-            max_eigenvalue=float(eig.max()),
-            trace=float(eig.sum()),
-            mean_square_eigenvalue=float(np.square(eig).sum() / spec.n),
-            exact=True,
-        )
-    if budget < spec.n:
-        raise InsufficientDataError(
-            f"covariance estimation needs at least n={spec.n} samples, got {budget}"
-        )
-    batch = sample_vector(spec, budget, rng)
-    cov = batch.matrix.T @ batch.matrix / budget  # all built-ins are centered
-    eig = np.linalg.eigvalsh(cov)
-    return CovarianceSummary(
-        max_eigenvalue=float(eig.max()),
-        trace=float(eig.sum()),
-        mean_square_eigenvalue=float(np.square(eig).sum() / spec.n),
-        exact=False,
-    )
 
 
 # ---------------------------------------------------------------------------

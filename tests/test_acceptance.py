@@ -215,7 +215,7 @@ def test_criterion_10_distance_oracle_equivalence():
         kernel = "gaussian" if case % 2 == 0 else "sphere"
         mix = di.MixtureCDF(radii=radii, weights=weights, kernel=kernel,
                             n=int(rng.integers(3, 40)) if kernel == "sphere" else None)
-        step = di.empirical_cdf(samples)
+        step = di.StepCDF.from_samples(samples)
         exact = di.kolmogorov_distance(step, mix).rho
         span = mix.span + 1.0
         grid = np.unique(np.concatenate([
@@ -223,7 +223,7 @@ def test_criterion_10_distance_oracle_equivalence():
             step.values, step.values - 1e-12]))
         brute = float(np.abs(step.cdf(grid) - mix.cdf(grid)).max())
         worst = max(worst, abs(exact - brute))
-    rad = di.kolmogorov_distance(di.empirical_cdf([-1.0, 1.0]),
+    rad = di.kolmogorov_distance(di.StepCDF.from_samples([-1.0, 1.0]),
                                  di.standard_normal_cdf()).rho
     rad_err = abs(rad - (float(ndtr(1.0)) - 0.5))
     ok = worst < 1e-9 and rad_err < 1e-9

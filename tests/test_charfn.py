@@ -8,8 +8,10 @@ from typical_clt import distributions as di
 from typical_clt import systems as sy
 from typical_clt.errors import DomainError, InsufficientDataError
 from typical_clt.functionals import sigma_2p
+from typical_clt.quadrature import kernel_sum
 from typical_clt.rng import make_rng
-from typical_clt.sphere_law import SphereCoordinateLaw, charfn_Jn_grid, sample_direction
+from typical_clt.sphere_law import (SphereCoordinateLaw, charfn_Jn_grid, density_grid,
+                                    sample_direction)
 
 
 def spec_iid(base, n=64):
@@ -117,25 +119,20 @@ class TestTypicalCf:
         assert np.all(np.abs(typical.values) <= mean_mod + 3.0 * (se + typical.se))
 
     def test_consistency_with_mixture_density_transform(self):
-        # cf of the typical mixture equals the numerical cosine transform of
-        # its density on [0, 5] within 1e-3
+        # the typical cf equals the numerical cosine transform of the density
+        # of the typical mixture (same radial draws) on [0, 5] within 1e-3
         spec = spec_iid("uniform", 32)
+        est = cf.charfn_typical(spec, np.linspace(0.0, 5.0, 11),
+                                radial_budget=20_000, rng=5)
         mix = di.typical_cdf(spec, radial_budget=20_000, rng=5)
-        t = np.linspace(0.0, 5.0, 11)
-        direct = cf.mixture_charfn(mix, t)
-        span = mix.span
-        xs = np.linspace(-span, span, 2 ** 16 + 1)
-        dens = mix.density(xs)
-        ft = np.array([np.trapezoid(np.cos(tt * xs) * dens, xs) for tt in t])
-        assert np.abs(direct - ft).max() <= 1e-3
-
-    def test_mixture_charfn_single_atoms(self):
-        t = np.linspace(0.0, 6.0, 25)
-        gauss = di.gaussian_mixture_cdf([(1.0, 1.0)])
-        assert np.abs(cf.mixture_charfn(gauss, t) - np.exp(-0.5 * t ** 2)).max() < 1e-15
-        sphere = di.typical_cdf(TRIG64)
-        exact = charfn_Jn_grid(SphereCoordinateLaw.for_dimension(64), t * 8.0)
-        assert np.abs(cf.mixture_charfn(sphere, t) - exact).max() < 1e-8
+        radii, weights = di.compress_atoms(mix.radii, mix.weights, 2048)
+        law = SphereCoordinateLaw.for_dimension(32)
+        xs = np.linspace(-mix.span, mix.span, 2 ** 16 + 1)
+        # mixture density: sum_i w_i phi_n(x / r_i) / r_i
+        dens = kernel_sum(lambda x, r: density_grid(law, x / r), xs, radii,
+                          weights / weights.sum() / radii, chunk=2000)
+        ft = np.array([np.trapezoid(np.cos(tt * xs) * dens, xs) for tt in est.t])
+        assert np.abs(est.values.real - ft).max() <= 1e-3
 
     def test_boundedness_profile(self):
         # |f(t)| <= C ((1 + sigma_4^2)/n + exp(-t^2/4)) with one fitted C

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,14 @@ class TestVerifyCommand:
     def test_threads_below_one_exit_two(self, tmp_path):
         out = tmp_path / "verify.csv"
         code = run(["verify", "--suite", "tail", "--threads", "0", "--output", str(out)])
+        assert code == cli.EXIT_CONFIG_ERROR
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_bad_budget_scale_exit_two(self, tmp_path, scale):
+        out = tmp_path / "verify.csv"
+        code = run(["verify", "--suite", "tail", "--budget-scale", scale,
+                    "--output", str(out)])
         assert code == cli.EXIT_CONFIG_ERROR
         assert not out.exists()
 
@@ -125,6 +134,19 @@ class TestOtherCommands:
                     "--output", out])
         assert code == cli.EXIT_OK
 
+    @pytest.mark.parametrize("orders", ["x", "2,", "2,,3"])
+    def test_bad_moment_orders_exit_two(self, orders):
+        assert run(["functionals", "--spec", "uniform", "--n", "16",
+                    "--p", orders, "--budget", "200"]) == cli.EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_charfn_too_few_points_exit_two(self, tmp_path, points):
+        out = tmp_path / "cf.csv"
+        code = run(["charfn", "--spec", "uniform", "--n", "8", "--tmax", "5",
+                    "--points", points, "--output", str(out)])
+        assert code == cli.EXIT_CONFIG_ERROR
+        assert not out.exists()
+
     def test_bad_arguments_exit_two(self):
         assert run(["distance", "--spec", "uniform", "--n", "16",
                     "--target", "Z"]) == cli.EXIT_CONFIG_ERROR
@@ -142,3 +164,14 @@ def test_import_leaves_scipy_integrate_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracer.py wraps package functions by name; it must find each
+    code = ('import sys; sys.path.insert(0, "perfbench"); '
+            'from tracer import Tracer, install; install(Tracer())')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          cwd=Path(__file__).resolve().parents[1],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

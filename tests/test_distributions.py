@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
@@ -9,16 +10,33 @@ from typical_clt import distributions as di
 from typical_clt import systems as sy
 from typical_clt.errors import ConfigurationError, DomainError, InsufficientDataError
 from typical_clt.quadrature import kernel_sum
-from typical_clt.sphere_law import gap_report
 
 
 def spec_iid(base, n=16):
     return sy.SystemSpec(kind="iid", n=n, base=base)
 
 
+def _normalized(weights):
+    w = np.asarray(weights, dtype=float)
+    return w / w.sum()
+
+
+# Random CDFs for the property tests: empirical CDFs of scaled normal
+# samples, and Gaussian mixtures with one to four positive radii.
+step_cdfs = st.builds(
+    lambda seed, size, scale: di.StepCDF.from_samples(
+        scale * np.random.default_rng(seed).standard_normal(size)),
+    st.integers(0, 2**32 - 1), st.integers(1, 60), st.floats(0.2, 3.0))
+gaussian_mixtures = st.lists(
+    st.tuples(st.floats(0.2, 3.0), st.floats(0.05, 1.0)), min_size=1, max_size=4,
+).map(lambda atoms: di.gaussian_mixture_cdf(
+    zip([r for r, _ in atoms], _normalized([w for _, w in atoms]))))
+any_cdf = st.one_of(step_cdfs, gaussian_mixtures)
+
+
 class TestStepCDF:
     def test_basic_steps(self):
-        step = di.empirical_cdf([1.0, 0.0, 1.0])
+        step = di.StepCDF.from_samples([1.0, 0.0, 1.0])
         assert step.cdf(-0.5) == 0.0
         assert step.cdf(0.0) == pytest.approx(1.0 / 3.0)
         assert step.cdf(0.5) == pytest.approx(1.0 / 3.0)
@@ -26,17 +44,17 @@ class TestStepCDF:
         assert step.cdf_left(1.0) == pytest.approx(1.0 / 3.0)
 
     def test_single_sample_unit_step(self):
-        step = di.empirical_cdf([5.0])
+        step = di.StepCDF.from_samples([5.0])
         assert step.cdf(4.999999) == 0.0
         assert step.cdf(5.0) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            di.empirical_cdf([])
+            di.StepCDF.from_samples([])
 
     def test_monotone_zero_one(self):
         rng = np.random.default_rng(0)
-        step = di.empirical_cdf(rng.standard_normal(500))
+        step = di.StepCDF.from_samples(rng.standard_normal(500))
         xs = np.linspace(-5, 5, 1001)
         vals = step.cdf(xs)
         assert np.all(np.diff(vals) >= 0.0)
@@ -81,12 +99,11 @@ class TestMixtureCDF:
         assert mix.cdf(1.0) == pytest.approx(oracle, abs=1e-12)
 
     def test_zero_atom_step(self):
-        mix = di.MixtureCDF(radii=np.array([0.0, 1.0]),
-                            weights=np.array([0.25, 0.75]), kernel="gaussian")
-        assert mix.cdf(0.0) == pytest.approx(0.25 + 0.75 * 0.5)
-        assert mix.cdf_left(0.0) == pytest.approx(0.75 * 0.5)
-        with pytest.raises(DomainError):
-            mix.density(np.array([0.0]))
+        # a zero radius would be a unit step at 0; mixtures are continuous
+        for kernel, n in (("gaussian", None), ("sphere", 8)):
+            with pytest.raises(DomainError):
+                di.MixtureCDF(radii=np.array([0.0, 1.0]),
+                              weights=np.array([0.25, 0.75]), kernel=kernel, n=n)
 
     def test_kernel_sum_independent_of_chunk(self):
         rng = np.random.default_rng(8)
@@ -102,9 +119,10 @@ class TestMixtureCDF:
         mix = di.MixtureCDF(radii=radii, weights=np.full(20_000, 5e-5),
                             kernel="gaussian")
         xs = np.linspace(-6, 6, 4001)
-        direct = mix.cdf(xs, exact=True)
-        lut = mix.cdf(np.repeat(xs, 2), exact=None)[::2]  # force big product
-        assert np.abs(direct - lut).max() < 1e-6
+        # 4001 points x 20000 atoms take the table; a fifth of them sum directly
+        assert xs.size * radii.size > di.EXACT_PRODUCT_LIMIT
+        direct = np.concatenate([mix.cdf(part) for part in np.array_split(xs, 5)])
+        assert np.abs(direct - mix.cdf(xs)).max() < 1e-6
 
 
 class TestTypicalCDF:
@@ -120,22 +138,35 @@ class TestTypicalCDF:
         mix = di.typical_cdf(spec_iid("normal", 64), radial_budget=20_000, rng=2)
         assert mix.cdf(0.0) == pytest.approx(0.5, abs=1e-12)
 
-    def test_monotone_on_grid(self):
-        mix = di.typical_cdf(spec_iid("uniform", 16), radial_budget=5000, rng=3)
-        xs = np.linspace(-8, 8, 10_000)
-        vals = mix.cdf(xs)
-        assert np.all(np.diff(vals) >= -1e-12)
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), atoms=st.integers(50, 100),
+           n=st.sampled_from([None, 8, 16, 64]))
+    def test_monotone_on_grid(self, seed, atoms, n):
+        # a Gaussian (n None) or sphere mixture with radii like |X|/sqrt(n)'s;
+        # the dense grid takes the table path, its every 64th point the direct one
+        rng = np.random.default_rng(seed)
+        mix = di.MixtureCDF(radii=rng.uniform(0.5, 2.0, atoms),
+                            weights=_normalized(rng.uniform(0.1, 1.0, atoms)),
+                            kernel="gaussian" if n is None else "sphere", n=n)
+        xs = np.linspace(-1.2 * mix.span, 1.2 * mix.span,
+                         di.EXACT_PRODUCT_LIMIT // atoms + 1)
+        table = mix.cdf(xs)
+        direct = mix.cdf(xs[::64])
+        for vals in (table, direct):
+            assert np.all(np.diff(vals) >= -1e-12)
+            assert vals.min() >= 0.0 and vals.max() <= 1.0 + 1e-12
+        assert np.abs(table[::64] - direct).max() < 1e-6
 
 
 class TestKolmogorovDistance:
     def test_identical_inputs(self):
-        step = di.empirical_cdf([0.0, 1.0, 2.0])
+        step = di.StepCDF.from_samples([0.0, 1.0, 2.0])
         assert di.kolmogorov_distance(step, step).rho == 0.0
         mix = di.gaussian_mixture_cdf([(1.0, 1.0)])
         assert di.kolmogorov_distance(mix, mix).rho <= 1e-12
 
     def test_rademacher_vs_normal(self):
-        step = di.empirical_cdf([-1.0, 1.0])
+        step = di.StepCDF.from_samples([-1.0, 1.0])
         rep = di.kolmogorov_distance(step, di.standard_normal_cdf())
         assert rep.rho == pytest.approx(float(ndtr(1.0)) - 0.5, abs=1e-9)
 
@@ -154,7 +185,7 @@ class TestKolmogorovDistance:
         rng = np.random.default_rng(3)
         a = rng.standard_normal(257)
         b = rng.standard_normal(311) * 1.3
-        ours = di.kolmogorov_distance(di.empirical_cdf(a), di.empirical_cdf(b)).rho
+        ours = di.kolmogorov_distance(di.StepCDF.from_samples(a), di.StepCDF.from_samples(b)).rho
         assert ours == pytest.approx(ks_2samp(a, b).statistic, abs=1e-12)
 
     def test_brute_force_equivalence(self):
@@ -165,7 +196,7 @@ class TestKolmogorovDistance:
             radii = rng.uniform(0.3, 2.5, k)
             mix = di.MixtureCDF(radii=radii, weights=np.full(k, 1.0 / k),
                                 kernel="gaussian")
-            step = di.empirical_cdf(samples)
+            step = di.StepCDF.from_samples(samples)
             exact = di.kolmogorov_distance(step, mix).rho
             span = 10.0 * radii.max()
             grid = np.unique(np.concatenate([
@@ -174,68 +205,29 @@ class TestKolmogorovDistance:
             brute = np.abs(step.cdf(grid) - mix.cdf(grid)).max()
             assert abs(exact - brute) < 1e-9
 
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(11)
-        cdfs = [
-            di.empirical_cdf(rng.standard_normal(40)),
-            di.empirical_cdf(rng.uniform(-2, 2, 25)),
-            di.gaussian_mixture_cdf([(0.7, 0.4), (1.4, 0.6)]),
-            di.standard_normal_cdf(),
-        ]
-        for u in cdfs:
-            for v in cdfs:
-                for w in cdfs:
-                    duw = di.kolmogorov_distance(u, w).rho
-                    duv = di.kolmogorov_distance(u, v).rho
-                    dvw = di.kolmogorov_distance(v, w).rho
-                    assert duw <= duv + dvw + 1e-9
+    @settings(max_examples=15, deadline=None)
+    @given(u=any_cdf, v=any_cdf, w=any_cdf)
+    def test_triangle_inequality(self, u, v, w):
+        duv = di.kolmogorov_distance(u, v).rho
+        assert di.kolmogorov_distance(v, u).rho == duv
+        duw = di.kolmogorov_distance(u, w).rho
+        dvw = di.kolmogorov_distance(v, w).rho
+        assert duw <= duv + dvw + 1e-9
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)
         samples = rng.standard_normal(200)
         mix = di.gaussian_mixture_cdf([(0.8, 0.5), (1.3, 0.5)])
-        base = di.kolmogorov_distance(di.empirical_cdf(samples), mix).rho
+        base = di.kolmogorov_distance(di.StepCDF.from_samples(samples), mix).rho
         for c in (0.1, 3.7):
             scaled_mix = di.gaussian_mixture_cdf([(0.8 * c, 0.5), (1.3 * c, 0.5)])
             scaled = di.kolmogorov_distance(
-                di.empirical_cdf(c * samples), scaled_mix).rho
+                di.StepCDF.from_samples(c * samples), scaled_mix).rho
             assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_type_dispatch(self):
         with pytest.raises(DomainError):
-            di.kolmogorov_distance(di.empirical_cdf([1.0]), "not a cdf")
-
-
-class TestWeightedTotalVariation:
-    def test_identical_is_zero(self):
-        mix = di.gaussian_mixture_cdf([(1.0, 1.0)])
-        assert di.weighted_total_variation(mix, mix) <= 1e-12
-
-    def test_sphere_vs_gaussian_order_one_over_n(self):
-        rep = gap_report(n_grid=(64,), reference_n=64)
-        c64 = next(c.extra["scaled_gap"] for c in rep.checks
-                   if c.name == "density_gap_rate")
-        sphere = di.MixtureCDF(radii=np.array([1.0]), weights=np.array([1.0]),
-                               kernel="sphere", n=64)
-        val = di.weighted_total_variation(sphere, di.standard_normal_cdf())
-        # |phi_n - phi| <= (c64/n) e^(-x^2/8), and
-        # integral (1+x^2) e^(-x^2/8) dx = 5 sqrt(8 pi)
-        assert val <= c64 / 64.0 * 5.0 * math.sqrt(8.0 * math.pi)
-
-    def test_variance_scaling(self):
-        phi = di.standard_normal_cdf()
-        vals = {}
-        for delta in (0.05, 0.1):
-            mix = di.gaussian_mixture_cdf([(1 - delta, 0.5), (1 + delta, 0.5)])
-            vals[delta] = di.weighted_total_variation(mix, phi)
-        ratio = vals[0.1] / vals[0.05]  # Var(r) scales by 4
-        assert 2.0 <= ratio <= 8.0
-
-    def test_zero_atom_rejected(self):
-        mix = di.MixtureCDF(radii=np.array([0.0, 1.0]),
-                            weights=np.array([0.5, 0.5]), kernel="gaussian")
-        with pytest.raises(DomainError):
-            di.weighted_total_variation(mix, di.standard_normal_cdf())
+            di.kolmogorov_distance(di.StepCDF.from_samples([1.0]), "not a cdf")
 
 
 class TestMeanThetaDistance:

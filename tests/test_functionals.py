@@ -36,9 +36,9 @@ class TestMomentMp:
             fn.moment_Mp(spec_iid("normal"), 0.5)
 
     def test_analytic_fallback_flag(self):
-        est = fn.moment_Mp(spec_iid("rademacher", 8), 3.0, strategy="analytic",
-                           budget=5000, rng=1)
-        assert est.fell_back and est.strategy == "search" and est.is_lower_bound
+        # no closed form for the rademacher M_3: the search runs, flagged
+        est = fn.moment_Mp(spec_iid("rademacher", 8), 3.0, budget=5000, rng=1)
+        assert est.strategy == "search" and est.is_lower_bound
 
     def test_search_matches_grid_oracle_n4(self):
         # oracle: 1-degree spherical grid, E|S|^3 exact over the 16 sign vectors
@@ -57,19 +57,16 @@ class TestMomentMp:
             proj = theta @ signs.T
             vals = np.mean(np.abs(proj) ** 3, axis=-1) ** (1.0 / 3.0)
             best = max(best, float(vals.max()))
-        est = fn.moment_Mp(spec_iid("rademacher", 4), 3.0, strategy="search",
-                           budget=40_000, rng=11)
+        est = fn.moment_Mp(spec_iid("rademacher", 4), 3.0, budget=40_000, rng=11)
         assert abs(est.value - best) / best < 0.01
 
-    def test_scale_doubling(self):
-        sy.register_sampler(
-            "rademacher_x2",
-            lambda spec, count, gen:
-                (gen.integers(0, 2, size=(count, spec.n)) * 2.0 - 1.0) * 2.0)
-        base = spec_iid("rademacher", 8)
-        doubled = sy.SystemSpec(kind="rademacher_x2", n=8)
-        a = fn.moment_Mp(base, 3.0, strategy="search", budget=10_000, rng=5)
-        b = fn.moment_Mp(doubled, 3.0, strategy="search", budget=10_000, rng=5)
+    def test_scale_doubling(self, monkeypatch):
+        spec = spec_iid("rademacher", 8)
+        a = fn.moment_Mp(spec, 3.0, budget=10_000, rng=5)
+        rows = sy._sample_rows
+        monkeypatch.setattr(sy, "_sample_rows",
+                            lambda spec, count, gen: 2.0 * rows(spec, count, gen))
+        b = fn.moment_Mp(spec, 3.0, budget=10_000, rng=5)
         # identical draws scaled by 2: same argmax direction, doubled value
         assert b.value == pytest.approx(2.0 * a.value, rel=1e-12)
         assert np.allclose(a.direction, b.direction)

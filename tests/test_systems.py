@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from typical_clt import systems as sy
-from typical_clt.errors import ConfigurationError, DomainError, InsufficientDataError
+from typical_clt.errors import ConfigurationError, DomainError
 from typical_clt.rng import as_rng, make_rng, master_seed
 from typical_clt.sphere_law import Direction, sample_direction
-
-
-SQRT3 = math.sqrt(3.0)
 
 
 def spec_iid(base, n=16):
@@ -122,13 +119,6 @@ class TestSampling:
         with pytest.raises(ConfigurationError):
             sy.sample_vector(spec_iid("normal"), 0, 1)
 
-    def test_extension_point(self):
-        sy.register_sampler("doubled_rademacher", lambda spec, count, gen:
-                            (gen.integers(0, 2, size=(count, spec.n)) * 2.0 - 1.0) * 2.0)
-        spec = sy.SystemSpec(kind="doubled_rademacher", n=4)
-        batch = sy.sample_vector(spec, 100, 3)
-        assert set(np.unique(batch.matrix)) == {-2.0, 2.0}
-
 
 class TestRngRule:
     def test_int_seed_derives_child_stream(self):
@@ -215,14 +205,6 @@ class TestProject:
         a = sy.project(spec, theta, 3001, make_rng(9, "batch"))
         assert np.array_equal(a, matrix_path(spec, theta, 3001, make_rng(9, "batch")))
 
-    def test_registered_kind_bit_identical(self):
-        sy.register_sampler("scaled_uniform", lambda spec, count, gen:
-                            gen.uniform(-1.0, 1.0, size=(count, spec.n)) * SQRT3)
-        spec = sy.SystemSpec(kind="scaled_uniform", n=6)
-        theta = sample_direction(6, 5)
-        a = sy.project(spec, theta, 777, 4)
-        assert np.array_equal(a, matrix_path(spec, theta, 777, 4))
-
     @pytest.mark.parametrize("n", [2, 16, 256])
     def test_trigonometric_within_rounding(self, n):
         spec = sy.SystemSpec(kind="trigonometric", n=n)
@@ -274,21 +256,13 @@ class TestProject:
 
 
 class TestCovarianceSummary:
-    def test_anisotropic_exact(self):
-        spec = sy.SystemSpec(kind="gaussian_anisotropic", n=4, eigenvalues=(2, 1, 1, 1))
-        cs = sy.covariance_summary(spec, 10)
-        assert cs.exact
-        assert cs.max_eigenvalue == 2.0
-        assert cs.trace == 5.0
-        assert cs.mean_square_eigenvalue == pytest.approx((4 + 3) / 4)
-
     def test_trigonometric_isotropic(self):
-        spec = sy.SystemSpec(kind="trigonometric", n=8)
-        cs = sy.covariance_summary(spec, 50_000, 11)
+        batch = sy.sample_vector(sy.SystemSpec(kind="trigonometric", n=8), 50_000, 11)
+        eig = np.linalg.eigvalsh(batch.matrix.T @ batch.matrix / 50_000)
         tol = 5.0 * math.sqrt(8 / 50_000)
-        assert abs(cs.max_eigenvalue - 1.0) <= tol
-        assert abs(cs.trace / 8.0 - 1.0) <= tol
-        assert abs(cs.mean_square_eigenvalue - 1.0) <= tol
+        assert abs(eig.max() - 1.0) <= tol
+        assert abs(eig.sum() / 8.0 - 1.0) <= tol
+        assert abs(np.square(eig).sum() / 8.0 - 1.0) <= tol
 
     def test_walsh_orthogonality(self):
         spec = sy.SystemSpec(kind="walsh", n=15)
@@ -296,10 +270,6 @@ class TestCovarianceSummary:
         cov = batch.matrix.T @ batch.matrix / 40_000
         off = cov - np.diag(np.diag(cov))
         assert np.abs(off).max() <= 4.0 / math.sqrt(40_000)
-
-    def test_insufficient_budget(self):
-        with pytest.raises(InsufficientDataError):
-            sy.covariance_summary(spec_iid("normal", 32), 16)
 
 
 class TestIsotropyProperty:
