@@ -20,8 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import reports
 from .errors import DomainError, InsufficientDataError
-from .functionals import SmallBallResult, moment_Mp, small_ball
+from .functionals import moment_Mp, small_ball
+from .quadrature import block_rows
 from .reports import BoundCheck, BoundCheckReport
 from .rng import make_rng, master_seed
 from .sphere_law import Direction, jn_table, sample_direction
@@ -72,7 +74,7 @@ def _empirical_cf(samples: np.ndarray, t: np.ndarray):
     m = samples.shape[0]
     vals = np.empty(t.shape[0], dtype=complex)
     ses = np.empty(t.shape[0])
-    chunk = max(1, int(4e6 // m))
+    chunk = block_rows(m)
     for lo in range(0, t.shape[0], chunk):
         hi = min(lo + chunk, t.shape[0])
         phase = samples[None, :] * t[lo:hi, None]
@@ -115,7 +117,7 @@ def charfn_typical(spec: SystemSpec, t_grid, radial_budget: int = 100_000,
                                     CF_COMPRESS_ATOMS)
     vals = np.empty(t.shape[0], dtype=complex)
     ses = np.empty(t.shape[0])
-    chunk = max(1, int(4e6 // radii.size))
+    chunk = block_rows(radii.size)
     for lo in range(0, t.shape[0], chunk):
         hi = min(lo + chunk, t.shape[0])
         jv = jn(t[lo:hi, None] * radii[None, :])
@@ -141,8 +143,7 @@ def _per_theta_cf_matrix(spec: SystemSpec, t: np.ndarray, theta_budget: int,
 
 
 def poincare_gap_check(spec: SystemSpec, t_grid, theta_budget: int = 48,
-                       sample_budget: int = 20000, rng=0,
-                       slack_se: float = 3.0) -> BoundCheckReport:
+                       sample_budget: int = 20000, rng=0) -> BoundCheckReport:
     """Check E_theta |f_theta(t) - f(t)|^2 <= t^2 M_1^2 / (n - 1).
 
     M_1 is bounded above by the analytic M_2, which exists for every
@@ -162,7 +163,7 @@ def poincare_gap_check(spec: SystemSpec, t_grid, theta_budget: int = 48,
     rhs = np.square(t) * m1_sq / (spec.n - 1)
     report = BoundCheckReport()
     for k in range(t.shape[0]):
-        slack = slack_se * float(se[k])
+        slack = reports.SLACK_SE * float(se[k])
         report.add(BoundCheck(
             name="cf_direction_variance",
             statement="E_theta |f_theta(t) - f(t)|^2 <= t^2 M_1^2 / (n-1)",
@@ -174,20 +175,17 @@ def poincare_gap_check(spec: SystemSpec, t_grid, theta_budget: int = 48,
 
 
 def decay_bound_check(spec: SystemSpec, t_grid, theta_budget: int = 48,
-                      sample_budget: int = 20000, rng=0,
-                      small_ball_result: SmallBallResult | None = None,
-                      slack_se: float = 3.0) -> BoundCheckReport:
+                      sample_budget: int = 20000, rng=0) -> BoundCheckReport:
     """Check E_theta |f_theta(t)| <= 2.1 (e^(-t^2/16) + e^(-n/24) + sqrt(P)).
 
-    P = P{|X - Y|^2 <= n/4}, estimated empirically when not supplied.
+    P = P{|X - Y|^2 <= n/4}, taken SLACK_SE standard errors above its
+    empirical estimate.
     """
     seed = master_seed(rng)
     t = np.asarray(t_grid, dtype=float)
-    if small_ball_result is None:
-        small_ball_result = small_ball(spec, budget=sample_budget,
-                                       rng=make_rng(seed, "decay_sb"))
-    p_hat = small_ball_result.empirical
-    p_up = p_hat + slack_se * small_ball_result.se
+    sb = small_ball(spec, budget=sample_budget, rng=make_rng(seed, "decay_sb"))
+    p_hat = sb.empirical
+    p_up = p_hat + reports.SLACK_SE * sb.se
     rows = _per_theta_cf_matrix(spec, t, theta_budget, sample_budget, seed)
     mags = np.abs(rows)
     lhs = mags.mean(axis=0)
@@ -196,7 +194,7 @@ def decay_bound_check(spec: SystemSpec, t_grid, theta_budget: int = 48,
                  + math.sqrt(p_up))
     report = BoundCheckReport()
     for k in range(t.shape[0]):
-        slack = slack_se * float(se[k])
+        slack = reports.SLACK_SE * float(se[k])
         report.add(BoundCheck(
             name="cf_decay_bound",
             statement="E_theta |f_theta(t)| <= 2.1 (exp(-t^2/16) + exp(-n/24) "
@@ -288,23 +286,20 @@ class SmoothingReport:
 
 def smoothing_report(spec: SystemSpec, theta_budget: int = 16,
                      sample_budget: int = 20000, radial_budget: int = 50000,
-                     t0: float | None = None, t_max: float | None = None,
                      grid_points: int = DEFAULT_GRID_POINTS, rng=0,
                      rho_theta_budget: int = 16,
                      rho_sample_budget: int = 50000) -> SmoothingReport:
     """Full-pipeline smoothing bound for a system.
 
-    Defaults mirror the moderate/large-t split used in the rate analysis:
-    T0 = 5 sqrt(log n) and T = 5 n.  The total of the three integrals is
-    compared with the measured mean Kolmogorov distance to the typical
-    law and the ratio is logged in the report.
+    The integrals split t at the moderate/large-t split of the rate
+    analysis: T0 = 5 sqrt(log n) and T = 5 n.  The total of the three
+    integrals is compared with the measured mean Kolmogorov distance to
+    the typical law and the ratio is logged in the report.
     """
     seed = master_seed(rng)
     n = spec.n
-    if t0 is None:
-        t0 = 5.0 * math.sqrt(math.log(n))
-    if t_max is None:
-        t_max = 5.0 * n
+    t0 = 5.0 * math.sqrt(math.log(n))
+    t_max = 5.0 * n
     t = default_t_grid(t_max, grid_points)
     rows = _per_theta_cf_matrix(spec, t, theta_budget, sample_budget, seed)
     typical = charfn_typical(spec, t, radial_budget, make_rng(seed, "smooth_radial"))

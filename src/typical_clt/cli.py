@@ -16,7 +16,7 @@ from . import experiments as ex
 from . import functionals as fn
 from .errors import (ConfigurationError, DomainError, FitUnavailableError,
                      InsufficientDataError, NumericKernelError)
-from .reports import write_csv
+from .reports import format_row, write_csv
 from .systems import built_in_spec
 
 EXIT_OK = 0
@@ -125,7 +125,7 @@ def _cmd_functionals(args) -> int:
         print(f"wrote {args.output}")
     print(",".join(header))
     for row in rows:
-        print(",".join(str(v) for v in row))
+        print(format_row(row))
     return EXIT_OK
 
 
@@ -155,7 +155,7 @@ def _cmd_charfn(args) -> int:
     else:
         print(",".join(header))
         for row in rows:
-            print(",".join(repr(v) for v in row))
+            print(format_row(row))
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigurationError, DomainError, InsufficientDataError
-from .quadrature import kernel_sum
+from .quadrature import block_rows, kernel_sum
 from .rng import make_rng, master_seed
 from .sphere_law import cdf_table, sample_direction
 from .systems import SystemSpec, project, sample_vector
@@ -43,6 +43,9 @@ EXACT_PRODUCT_LIMIT = 20_000_000
 COMPRESS_ATOMS = 2048
 LUT_POINTS = 32768
 GAUSSIAN_SPAN_FACTOR = 12.0
+# mixture-vs-mixture sup: grid size and the number of grid maxima refined
+KS_GRID_POINTS = 8193
+KS_REFINE = 24
 
 
 def noise_floor(per_theta_budget: int) -> float:
@@ -85,14 +88,17 @@ class StepCDF:
     """Empirical CDF with sorted sample values; right-continuous."""
 
     values: np.ndarray
-    count: int
 
     @classmethod
     def from_samples(cls, samples) -> "StepCDF":
         arr = np.sort(np.asarray(samples, dtype=float))
         if arr.size == 0:
             raise DomainError("empirical CDF needs at least one sample")
-        return cls(values=arr, count=arr.size)
+        return cls(values=arr)
+
+    @property
+    def count(self) -> int:
+        return self.values.size
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -140,7 +146,7 @@ class MixtureCDF:
     weights: np.ndarray
     kernel: str                 # "gaussian" or "sphere"
     n: int | None = None        # sphere kernel dimension
-    _lut: tuple | None = field(default=None, repr=False, compare=False)
+    _lut: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.radii = np.asarray(self.radii, dtype=float)
@@ -182,7 +188,7 @@ class MixtureCDF:
 
     def _direct(self, x: np.ndarray, radii: np.ndarray, weights: np.ndarray) -> np.ndarray:
         return kernel_sum(lambda xs, r: self._kernel_cdf(xs / r), x, radii, weights,
-                          chunk=max(1, int(4e6 // max(radii.size, 1))))
+                          chunk=block_rows(radii.size))
 
     def _ensure_lut(self):
         if self._lut is None:
@@ -193,15 +199,19 @@ class MixtureCDF:
             self._lut = (grid, self._direct(grid, r, w))
         return self._lut
 
+    def tabulates(self, points: int) -> bool:
+        """Whether `cdf` reads `points` points from the lookup table."""
+        return points * self.radii.size > EXACT_PRODUCT_LIMIT
+
     def cdf(self, x):
         """Mixture CDF at x (scalar or array).
 
         Direct summation over all atoms when atoms * points is small, the
-        cached lookup table otherwise.
+        lookup table (built on first use) otherwise.
         """
         scalar = np.isscalar(x)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.size * self.radii.size <= EXACT_PRODUCT_LIMIT:
+        if not self.tabulates(x.size):
             vals = self._direct(x, self.radii, self.weights)
         else:
             grid, lut = self._ensure_lut()
@@ -247,7 +257,6 @@ def standard_normal_cdf() -> MixtureCDF:
 class DistanceReport:
     rho: float
     location: float
-    method: str
     metadata: dict = field(default_factory=dict)
 
 
@@ -258,7 +267,7 @@ def _ks_step_step(a: StepCDF, b: StepCDF) -> DistanceReport:
     d = np.maximum(d_right, d_left)
     i = int(np.argmax(d))
     return DistanceReport(rho=float(d[i]), location=float(pts[i]),
-                          method="step-step", metadata={"points": pts.size})
+                          metadata={"points": pts.size})
 
 
 def _ks_step_mixture(step: StepCDF, mix: MixtureCDF) -> DistanceReport:
@@ -267,19 +276,18 @@ def _ks_step_mixture(step: StepCDF, mix: MixtureCDF) -> DistanceReport:
     d = np.maximum(np.abs(step.cdf(pts) - m), np.abs(step.cdf_left(pts) - m))
     i = int(np.argmax(d))
     return DistanceReport(rho=float(d[i]), location=float(pts[i]),
-                          method="step-mixture", metadata={"points": pts.size})
+                          metadata={"points": pts.size})
 
 
-def _ks_mixture_mixture(a: MixtureCDF, b: MixtureCDF, grid_points: int = 8193,
-                        refine: int = 24) -> DistanceReport:
+def _ks_mixture_mixture(a: MixtureCDF, b: MixtureCDF) -> DistanceReport:
     from scipy.optimize import minimize_scalar
 
     span = max(a.span, b.span)
-    xs = np.linspace(-span, span, grid_points)
+    xs = np.linspace(-span, span, KS_GRID_POINTS)
     diff = np.abs(a.cdf(xs) - b.cdf(xs))
     best_val = float(diff.max())
     best_x = float(xs[int(np.argmax(diff))])
-    top = np.argsort(diff)[-refine:]
+    top = np.argsort(diff)[-KS_REFINE:]
     h = xs[1] - xs[0]
     for i in top:
         lo, hi = xs[i] - h, xs[i] + h
@@ -292,8 +300,8 @@ def _ks_mixture_mixture(a: MixtureCDF, b: MixtureCDF, grid_points: int = 8193,
         if -res.fun > best_val:
             best_val = float(-res.fun)
             best_x = float(res.x)
-    return DistanceReport(rho=best_val, location=best_x, method="mixture-mixture",
-                          metadata={"grid_points": grid_points, "refined": refine})
+    return DistanceReport(rho=best_val, location=best_x,
+                          metadata={"grid_points": KS_GRID_POINTS, "refined": KS_REFINE})
 
 
 def kolmogorov_distance(u, v) -> DistanceReport:
@@ -369,8 +377,11 @@ def mean_theta_distance(
             "target phi requires a normalized system with E|X|^2 = n")
     master = master_seed(rng)
     target_cdf = build_target(spec, target, radial_budget, make_rng(master, "radial"))
-    if target_cdf.radii.size > 64:
-        target_cdf._ensure_lut()  # build the shared table once, not per thread
+    # a direction's step CDF has at most per_theta_budget jump points, so
+    # the table is read only if this builds it, once and before the pool
+    # (a build inside the pool overlaps the other threads' sample matrices)
+    if target_cdf.tabulates(per_theta_budget):
+        target_cdf._ensure_lut()
 
     def one_theta(j: int) -> float:
         theta = sample_direction(spec.n, make_rng(master, "theta", j))

@@ -27,10 +27,11 @@ import numpy as np
 from . import charfn as cf
 from . import distributions as di
 from . import functionals as fn
+from . import reports
 from . import sphere_law as sl
 from .errors import ConfigurationError, FitUnavailableError
 from .reports import BoundCheck, BoundCheckReport, render_csv, write_csv
-from .rng import make_rng
+from .rng import make_rng, master_seed
 from .systems import SystemSpec, built_in_spec, default_catalog, sample_vector
 
 DEFAULT_THETA_BUDGET = 64
@@ -40,10 +41,6 @@ DEFAULT_VERIFY_BUDGET = 30_000
 DEFAULT_SEED = 42
 
 TARGETS = ("phi", "F", "G")
-
-
-def _cell_seed(master: int, *keys) -> int:
-    return int(make_rng(master, *keys).integers(1 << 62))
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +196,12 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> RateFit:
     summary = []
     for n in config.n_list:
         spec = built_in_spec(config.system, n)
-        cell_seed = _cell_seed(config.seed, "sweep_n", n)
         res = di.mean_theta_distance(
             spec, config.target,
             theta_budget=config.theta_budget,
             per_theta_budget=config.per_theta_budget,
             radial_budget=config.radial_budget,
-            rng=cell_seed, threads=threads,
+            rng=make_rng(config.seed, "sweep_n", n), threads=threads,
         )
         detail_rows.extend(per_theta_rows(res, config.seed))
         summary.append(SweepRow(n=n, mean_rho=res.mean, se=res.se,
@@ -224,21 +220,15 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> RateFit:
 
 # A suite maps (budget scale, seed) to its cells: zero-argument callables,
 # each returning a BoundCheckReport and seeding itself from its own keys,
-# so that run_verify may run them on any thread.
+# so that run_verify may run them on any thread.  run_verify stamps the
+# run's seed on every row.
 
 def _scaled(budget: int, scale: float, floor: int = 200) -> int:
     return max(floor, int(budget * scale))
 
 
-def _sphere_checks(seed: int) -> BoundCheckReport:
-    report = sl.gap_report()
-    for check in report.checks:
-        check.seed = seed
-    return report
-
-
 def _suite_sphere(scale: float, seed: int) -> list:
-    return [partial(_sphere_checks, seed)]
+    return [sl.gap_report]
 
 
 def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckReport:
@@ -253,15 +243,15 @@ def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckR
     m2 = m_est[2.0]
     report.add(BoundCheck(
         name="pair_moment_ge_1", statement="m_2 >= 1 (E|X|^2 = n)",
-        lhs=1.0, rhs=m2.value, slack=3.0 * m2.se,
-        spec_id=spec.spec_id, n=n, seed=seed, budget=budget,
+        lhs=1.0, rhs=m2.value, slack=reports.SLACK_SE * m2.se,
+        spec_id=spec.spec_id, n=n, budget=budget,
     ))
     if spec.is_isotropic:
         report.add(BoundCheck(
             name="pair_moment_eq_1_isotropic",
             statement="|m_2 - 1| small for isotropic systems",
-            lhs=abs(m2.value - 1.0), rhs=0.0, slack=3.0 * m2.se,
-            spec_id=spec.spec_id, n=n, seed=seed, budget=budget,
+            lhs=abs(m2.value - 1.0), rhs=0.0, slack=reports.SLACK_SE * m2.se,
+            spec_id=spec.spec_id, n=n, budget=budget,
         ))
     else:
         big = fn.moment_mp(spec, 2.0, pairs=_scaled(500_000, scale),
@@ -269,8 +259,8 @@ def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckR
         report.add(BoundCheck(
             name="pair_moment_gt_1_anisotropic",
             statement="m_2 > 1 for non-isotropic systems with E|X|^2 = n",
-            lhs=1.0, rhs=big.value, slack=-3.0 * big.se,
-            spec_id=spec.spec_id, n=n, seed=seed, budget=_scaled(500_000, scale),
+            lhs=1.0, rhs=big.value, slack=-reports.SLACK_SE * big.se,
+            spec_id=spec.spec_id, n=n, budget=_scaled(500_000, scale),
         ))
 
     gen = make_rng(seed, "norm_p", spec.spec_id)
@@ -282,24 +272,23 @@ def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckR
         mp = fn.moment_Mp(spec, p, rng=make_rng(seed, "Mp", spec.spec_id, int(p)))
         vals = sq ** (p / 2.0)
         lhs = float(vals.mean() ** (1.0 / p))
-        se_lhs = float(vals.std(ddof=1) / math.sqrt(budget)
-                       * (1.0 / p) * vals.mean() ** (1.0 / p - 1.0))
         rhs = mp.value * root_n
-        slack = 3.0 * (se_lhs + mp.se * root_n) + 1e-12 * rhs
+        se_lhs = fn.root_mean_se(vals, p)
+        slack = reports.SLACK_SE * (se_lhs + mp.se * root_n) + 1e-12 * rhs
         report.add(BoundCheck(
             name=f"norm_moment_le_Mp_rootn_p{int(p)}",
             statement="(E |X|^p)^(1/p) <= M_p sqrt(n)",
             lhs=lhs, rhs=rhs, slack=slack,
-            spec_id=spec.spec_id, n=n, seed=seed, budget=budget,
+            spec_id=spec.spec_id, n=n, budget=budget,
             extra={"strategy": mp.strategy},
         ))
         mpair = m_est[p]
-        slack = 3.0 * (mpair.se + 2.0 * mp.value * mp.se)
+        slack = reports.SLACK_SE * (mpair.se + 2.0 * mp.value * mp.se)
         report.add(BoundCheck(
             name=f"pair_moment_le_Mp_sq_p{int(p)}",
             statement="m_p <= M_p^2 for p >= 2",
             lhs=mpair.value, rhs=mp.value ** 2, slack=slack,
-            spec_id=spec.spec_id, n=n, seed=seed, budget=budget,
+            spec_id=spec.spec_id, n=n, budget=budget,
             extra={"strategy": mp.strategy},
         ))
 
@@ -307,8 +296,8 @@ def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckR
         name="pair_moment_monotone",
         statement="m_2 <= m_3 (nondecreasing in p)",
         lhs=m_est[2.0].value, rhs=m_est[3.0].value,
-        slack=3.0 * (m_est[2.0].se + m_est[3.0].se),
-        spec_id=spec.spec_id, n=n, seed=seed, budget=budget,
+        slack=reports.SLACK_SE * (m_est[2.0].se + m_est[3.0].se),
+        spec_id=spec.spec_id, n=n, budget=budget,
     ))
     sig = {p: fn.sigma_2p(spec, p, budget=budget,
                           rng=make_rng(seed, "sigma", spec.spec_id, int(2 * p)))
@@ -318,8 +307,8 @@ def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckR
             name=f"sigma_monotone_{int(2 * lo_p)}_{int(2 * hi_p)}",
             statement="sigma_2p nondecreasing in p",
             lhs=sig[lo_p].value, rhs=sig[hi_p].value,
-            slack=3.0 * (sig[lo_p].se + sig[hi_p].se),
-            spec_id=spec.spec_id, n=n, seed=seed, budget=budget,
+            slack=reports.SLACK_SE * (sig[lo_p].se + sig[hi_p].se),
+            spec_id=spec.spec_id, n=n, budget=budget,
         ))
 
     report.extend(fn.norm_variance_check(spec, budget=budget,
@@ -328,9 +317,8 @@ def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckR
     report.add(BoundCheck(
         name="small_ball_bound",
         statement="P{|X-Y|^2 <= n/4} <= 4^q m_q^q / n^(q/2) + 4^2p s_2p^2p / n^p",
-        lhs=sb.empirical, rhs=sb.bound,
-        slack=3.0 * (sb.se + sb.bound_se),
-        spec_id=spec.spec_id, n=n, seed=seed, budget=budget,
+        lhs=sb.empirical, rhs=sb.bound, slack=sb.slack,
+        spec_id=spec.spec_id, n=n, budget=budget,
     ))
     return report
 
@@ -350,13 +338,13 @@ def _suite_charfn(scale: float, seed: int) -> list:
     poincare_ts = [0.0, 0.5, 1.0, 2.0, 4.0]
     decay_ts = np.linspace(0.0, 10.0, 11)
     cells = []
-    for spec in specs:
+    for spec in specs:  # int seeds: a cell gives the same rows on every call
         cells.append(partial(
-            cf.poincare_gap_check, spec, poincare_ts, theta_budget=48,
-            sample_budget=budget, rng=_cell_seed(seed, "poincare", spec.spec_id)))
+            cf.poincare_gap_check, spec, poincare_ts, theta_budget=48, sample_budget=budget,
+            rng=master_seed(make_rng(seed, "poincare", spec.spec_id))))
         cells.append(partial(
-            cf.decay_bound_check, spec, decay_ts, theta_budget=48,
-            sample_budget=budget, rng=_cell_seed(seed, "decay", spec.spec_id)))
+            cf.decay_bound_check, spec, decay_ts, theta_budget=48, sample_budget=budget,
+            rng=master_seed(make_rng(seed, "decay", spec.spec_id))))
     return cells
 
 
@@ -376,7 +364,7 @@ def _tail_checks(scale: float, seed: int) -> BoundCheckReport:
             name=f"lower_tail_{name}",
             statement="P{S_n <= lambda n} <= exp(-(1-lambda)^2 n / (8 kappa))",
             lhs=emp, rhs=bound, slack=0.0,
-            spec_id=f"xi_{name}", n=100, seed=seed, budget=sims,
+            spec_id=f"xi_{name}", n=100, budget=sims,
             extra={"kappa": lt.kappa, "lambda": lt.lam},
         ))
     return report
@@ -414,6 +402,8 @@ def run_verify(suite: str = "all", budget_scale: float = 1.0,
     report = BoundCheckReport()
     for cell_report in di.ordered_map(lambda cell: cell(), cells, threads):
         report.extend(cell_report)
+    for check in report.checks:
+        check.seed = seed
     header, rows = report.csv_rows()
     if output is not None:
         write_csv(output, header, rows)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import reports
 from .errors import DomainError, InsufficientDataError, NumericKernelError
 from .reports import BoundCheck, BoundCheckReport
 from .rng import as_rng, make_rng
@@ -30,6 +31,7 @@ from .systems import SystemSpec, sample_vector
 
 BOOTSTRAP_REPS = 200
 PAIR_BLOCK = 1 << 16
+SEARCH_DIRECTIONS = 64  # random candidates of the M_p search
 
 
 @dataclass(frozen=True)
@@ -38,15 +40,21 @@ class Estimate:
     se: float
 
 
-def _bootstrap_se(values: np.ndarray, statistic, rng: np.random.Generator,
-                  reps: int = BOOTSTRAP_REPS) -> float:
-    """SE of statistic(values) under i.i.d. resampling."""
+def _bootstrap_se(values: np.ndarray, statistic, rng: np.random.Generator):
+    """SE of statistic(values) under i.i.d. resampling of the entries.
+
+    A float, or a list of floats for a statistic returning a tuple.
+    """
     m = values.shape[0]
-    stats = np.empty(reps)
-    for b in range(reps):
-        idx = rng.integers(0, m, size=m)
-        stats[b] = statistic(values[idx])
-    return float(stats.std(ddof=1))
+    stats = np.array([statistic(values[rng.integers(0, m, size=m)])
+                      for _ in range(BOOTSTRAP_REPS)])
+    return stats.std(axis=0, ddof=1).tolist()
+
+
+def root_mean_se(v: np.ndarray, p: float) -> float:
+    """Delta-method SE of (mean v)^(1/p) over the i.i.d. entries of v."""
+    return float(v.std(ddof=1) / math.sqrt(v.size) * (1.0 / p)
+                 * v.mean() ** (1.0 / p - 1.0))
 
 
 def gauss_abs_moment(p: float) -> float:
@@ -99,14 +107,13 @@ def _empirical_lp(matrix: np.ndarray, directions: np.ndarray, p: float) -> np.nd
     return np.mean(_abs_pow(proj, p), axis=0) ** (1.0 / p)
 
 
-def _search_Mp(spec: SystemSpec, p: float, budget: int, n_directions: int,
-               rng) -> MomentEstimate:
+def _search_Mp(spec: SystemSpec, p: float, budget: int, rng) -> MomentEstimate:
     gen = as_rng(rng, "mp_search")
     batch = sample_vector(spec, budget, gen)
     n = spec.n
     # candidates: coordinate axes, the diagonal, and random directions
     cand = [np.eye(n), np.full((n, 1), 1.0 / math.sqrt(n))]
-    rand = gen.standard_normal((n, n_directions))
+    rand = gen.standard_normal((n, SEARCH_DIRECTIONS))
     rand /= np.linalg.norm(rand, axis=0, keepdims=True)
     cand.append(rand)
     directions = np.concatenate(cand, axis=1)
@@ -126,15 +133,11 @@ def _search_Mp(spec: SystemSpec, p: float, budget: int, n_directions: int,
                 break
             value = float(sc[j])
             theta = props[:, j].copy()
-    v = _abs_pow(batch.matrix @ theta, p)
-    mean = v.mean()
-    se = v.std(ddof=1) / math.sqrt(budget) * (1.0 / p) * mean ** (1.0 / p - 1.0)
-    return MomentEstimate(value=value, se=float(se), strategy="search",
-                          direction=theta)
+    se = root_mean_se(_abs_pow(batch.matrix @ theta, p), p)
+    return MomentEstimate(value=value, se=se, strategy="search", direction=theta)
 
 
-def moment_Mp(spec: SystemSpec, p: float, budget: int = 20000,
-              n_directions: int = 64, rng=0) -> MomentEstimate:
+def moment_Mp(spec: SystemSpec, p: float, budget: int = 20000, rng=0) -> MomentEstimate:
     """Maximal L^p norm of the linear marginals.
 
     The closed form (exact, SE 0) where one exists, otherwise the search
@@ -145,7 +148,9 @@ def moment_Mp(spec: SystemSpec, p: float, budget: int = 20000,
     analytic = _analytic_Mp(spec, p)
     if analytic is not None:
         return MomentEstimate(value=analytic, se=0.0, strategy="analytic")
-    return _search_Mp(spec, p, budget, n_directions, rng)
+    if budget < 100:
+        raise InsufficientDataError(f"need a budget of at least 100, got {budget}")
+    return _search_Mp(spec, p, budget, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -211,36 +216,33 @@ def sigma_2p(spec: SystemSpec, p: float, budget: int = 20000, rng=0) -> Estimate
 # Variance chain and small-ball bound
 # ---------------------------------------------------------------------------
 
-def norm_variance_check(spec: SystemSpec, budget: int = 20000, rng=0,
-                        slack_se: float = 3.0, atol: float = 1e-9) -> BoundCheckReport:
+def norm_variance_check(spec: SystemSpec, budget: int = 20000, rng=0) -> BoundCheckReport:
     """Check Var|X| <= sigma_4^2 and sigma_2^2/4 <= Var|X| <= sigma_2 sqrt(n).
 
-    Each inequality gets `slack_se` bootstrap standard errors of its
-    margin as slack, plus a tiny absolute tolerance: for fixed-norm
-    systems every quantity is zero up to float epsilon, and the chain
-    must hold with equality rather than fail on rounding noise.
+    Each inequality gets SLACK_SE bootstrap standard errors of its margin
+    as slack, plus an absolute 1e-9: for fixed-norm systems every
+    quantity is zero up to float epsilon, and the chain must hold with
+    equality rather than fail on rounding noise.
     """
     batch = sample_vector(spec, budget, as_rng(rng, "normvar"))
     # squared norms are exact for the +-1-valued systems; take sqrt after
     sq = np.square(batch.matrix).sum(axis=1)
-    norms = np.sqrt(sq)
     n = spec.n
     root_n = math.sqrt(n)
 
-    def stats(idx):
-        var_norm = norms[idx].var(ddof=1)
-        sq_dev = np.abs(sq[idx] / n - 1.0)
+    def stats(sample):
+        var_norm = np.sqrt(sample).var(ddof=1)
+        sq_dev = np.abs(sample / n - 1.0)
         sigma2 = root_n * sq_dev.mean()
         sigma4_sq = n * np.mean(np.square(sq_dev))
         return var_norm, sigma2, sigma4_sq
 
-    var_norm, sigma2, sigma4_sq = stats(np.arange(budget))
-    boot = as_rng(rng, "normvar_boot")
-    reps = np.empty((BOOTSTRAP_REPS, 3))
-    for b in range(BOOTSTRAP_REPS):
-        vn, s2, s4sq = stats(boot.integers(0, budget, size=budget))
-        reps[b] = (s4sq - vn, vn - 0.25 * s2 ** 2, s2 * root_n - vn)
-    ses = reps.std(axis=0, ddof=1)
+    def margins(sample):
+        vn, s2, s4sq = stats(sample)
+        return s4sq - vn, vn - 0.25 * s2 ** 2, s2 * root_n - vn
+
+    var_norm, sigma2, sigma4_sq = stats(sq)
+    ses = _bootstrap_se(sq, margins, as_rng(rng, "normvar_boot"))
 
     names = [
         ("var_norm_le_sigma4sq", "Var|X| <= sigma_4^2", var_norm, sigma4_sq),
@@ -253,7 +255,7 @@ def norm_variance_check(spec: SystemSpec, budget: int = 20000, rng=0,
     for (name, statement, lhs, rhs), se in zip(names, ses):
         report.add(BoundCheck(
             name=name, statement=statement, lhs=float(lhs), rhs=float(rhs),
-            slack=slack_se * float(se) + atol,
+            slack=reports.SLACK_SE * se + 1e-9,
             spec_id=spec.spec_id, n=n, budget=budget,
         ))
     return report
@@ -265,17 +267,22 @@ class SmallBallResult:
     se: float
     bound: float
     bound_se: float
-    p: float
-    q: float
-    passed: bool
+
+    @property
+    def slack(self) -> float:
+        return reports.SLACK_SE * (self.se + self.bound_se)
+
+    @property
+    def passed(self) -> bool:
+        return self.empirical <= self.bound + self.slack
 
 
-def small_ball(spec: SystemSpec, budget: int = 20000, rng=0,
-               p: float = 2.0, q: float = 2.0, slack_se: float = 3.0) -> SmallBallResult:
+def small_ball(spec: SystemSpec, budget: int = 20000, rng=0) -> SmallBallResult:
     """Empirical P{|X - Y|^2 <= n/4} against its moment bound.
 
-    The bound is 4^q m_q^q / n^(q/2) + 4^(2p) s_2p^(2p) / n^p, evaluated
-    from estimates on the same pair sample.
+    The bound 4^q m_q^q / n^(q/2) + 4^(2p) s_2p^(2p) / n^p at p = q = 2,
+    that is 4^2 m_2^2 / n + 4^4 s_4^4 / n^2, evaluated from estimates on
+    the same pair sample.
     """
     bx = sample_vector(spec, budget, as_rng(rng, "sb_x"))
     by = sample_vector(spec, budget, as_rng(rng, "sb_y"))
@@ -285,22 +292,17 @@ def small_ball(spec: SystemSpec, budget: int = 20000, rng=0,
     emp = float(hits.mean())
     se = math.sqrt(emp * (1.0 - emp) / budget)
 
-    ip = np.einsum("ij,ij->i", bx.matrix, by.matrix)
-    vq = _abs_pow(ip, q)
-    # 4^q m_q^q / n^(q/2) = 4^q E|<X,Y>|^q / n^q
-    term1 = 4.0 ** q * vq.mean() / n ** q
-    dev = _abs_pow(np.square(bx.matrix).sum(axis=1) / n - 1.0, p)
-    # sigma_2p^(2p) / n^p = (E dev)^2 by the definition of sigma_2p
-    term2 = 4.0 ** (2 * p) * dev.mean() ** 2
+    ip2 = np.square(np.einsum("ij,ij->i", bx.matrix, by.matrix))
+    # 4^2 m_2^2 / n = 16 E<X,Y>^2 / n^2
+    term1 = 16.0 * ip2.mean() / n ** 2
+    dev = np.square(np.square(bx.matrix).sum(axis=1) / n - 1.0)
+    # sigma_4^4 / n^2 = (E dev)^2 by the definition of sigma_4
+    term2 = 256.0 * dev.mean() ** 2
     bound = float(term1 + term2)
-    se_t1 = 4.0 ** q * vq.std(ddof=1) / math.sqrt(budget) / n ** q
-    se_t2 = 4.0 ** (2 * p) * 2.0 * dev.mean() * dev.std(ddof=1) / math.sqrt(budget)
-    bound_se = float(math.hypot(se_t1, se_t2))
-    slack = slack_se * (se + bound_se)
-    return SmallBallResult(
-        empirical=emp, se=se, bound=bound, bound_se=bound_se, p=p, q=q,
-        passed=emp <= bound + slack,
-    )
+    se_t1 = 16.0 * ip2.std(ddof=1) / math.sqrt(budget) / n ** 2
+    se_t2 = 512.0 * dev.mean() * dev.std(ddof=1) / math.sqrt(budget)
+    return SmallBallResult(empirical=emp, se=se, bound=bound,
+                           bound_se=float(math.hypot(se_t1, se_t2)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,28 +320,14 @@ class ConstantXi:
 
 
 class TwoPointXi:
-    """xi taking value `high` with probability p_high, else `low`."""
-
-    def __init__(self, low: float = 0.0, high: float = 2.0, p_high: float = 0.5):
-        if low < 0 or high < 0:
-            raise DomainError("two-point values must be nonnegative")
-        mean = low * (1.0 - p_high) + high * p_high
-        if abs(mean - 1.0) > 1e-12:
-            raise DomainError(f"two-point xi must have mean 1, got {mean}")
-        self.low, self.high, self.p_high = low, high, p_high
+    """xi = 0 or 2 with probability 1/2 each; E xi 1{xi > k} = 1 for k < 2."""
 
     def tail_mean(self, kappa: float) -> float:
-        out = 0.0
-        if self.low > kappa:
-            out += self.low * (1.0 - self.p_high)
-        if self.high > kappa:
-            out += self.high * self.p_high
-        return out
+        return 1.0 if kappa < 2.0 else 0.0
 
     def sample_sum(self, n: int, size: int, rng) -> np.ndarray:
         gen = as_rng(rng)
-        k = gen.binomial(n, self.p_high, size=size)
-        return self.low * (n - k) + self.high * k
+        return 2.0 * gen.binomial(n, 0.5, size=size)
 
 
 class ExponentialXi:
@@ -362,12 +350,11 @@ class LowerTailBound:
         return math.exp(-(1.0 - self.lam) ** 2 * n / (8.0 * self.kappa))
 
 
-def lower_tail_bound(xi, lam: float, grid_base: float = 1e-3,
-                     max_doublings: int = 60) -> LowerTailBound:
+def lower_tail_bound(xi, lam: float) -> LowerTailBound:
     """Smallest admissible truncation level kappa and the tail bound.
 
     kappa must satisfy E xi 1{xi > kappa} <= (1 - lam)/2.  A geometric
-    grid kappa = grid_base * 2^k locates a bracket, then bisection
+    grid kappa = 1e-3 * 2^k, k < 60, locates a bracket, then bisection
     refines to the minimal admissible level (smaller kappa gives a
     stronger bound exp(-(1-lam)^2 n / (8 kappa))).
     """
@@ -377,8 +364,8 @@ def lower_tail_bound(xi, lam: float, grid_base: float = 1e-3,
         raise DomainError("xi must be nonnegative with mean 1")
     target = (1.0 - lam) / 2.0
     lo, hi = 0.0, None
-    kappa = grid_base
-    for _ in range(max_doublings):
+    kappa = 1e-3
+    for _ in range(60):
         if xi.tail_mean(kappa) <= target:
             hi = kappa
             break
@@ -440,7 +427,8 @@ def compute_functionals(spec: SystemSpec, p_values=(2.0, 3.0), budget: int = 200
     """One-stop report of all functionals for a spec."""
     report = FunctionalsReport(spec_id=spec.spec_id, n=spec.n, budget=budget, seed=seed)
     for p in p_values:
-        report.max_moments[p] = moment_Mp(spec, p, rng=make_rng(seed, "Mp", int(2 * p)))
+        report.max_moments[p] = moment_Mp(spec, p, budget=budget,
+                                          rng=make_rng(seed, "Mp", int(2 * p)))
         report.pair_moments[p] = moment_mp(spec, p, pairs=budget,
                                            rng=make_rng(seed, "mp", int(2 * p)))
     for p in (1.0, 1.5, 2.0):

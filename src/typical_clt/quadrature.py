@@ -4,7 +4,8 @@ The oscillatory cosine transforms in this package are integrated with a
 fixed-order rule on panels whose count scales with the oscillation
 frequency of the integrand.  Mixture CDFs and the quadrature itself are
 both sums f(x_i, node_j) @ weights, evaluated by `kernel_sum` a bounded
-block of rows at a time.
+block of rows at a time; `block_rows` sizes the blocks of every such
+loop in the package.
 """
 
 from __future__ import annotations
@@ -14,17 +15,23 @@ from functools import lru_cache
 import numpy as np
 
 GL_ORDER = 16
+BLOCK_ENTRIES = 4e6  # entries of one rows x width temporary
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
+@lru_cache(maxsize=1)
+def _gl_nodes():
+    x, w = np.polynomial.legendre.leggauss(GL_ORDER)
     return x, w
 
 
-def panel_nodes(a: float, b: float, panels: int, order: int = GL_ORDER):
-    """Nodes and weights of a composite Gauss-Legendre rule on [a, b]."""
-    x, w = _gl_nodes(order)
+def block_rows(width: int) -> int:
+    """Rows per block that keep a rows x `width` temporary at BLOCK_ENTRIES."""
+    return max(1, int(BLOCK_ENTRIES // max(width, 1)))
+
+
+def panel_nodes(a: float, b: float, panels: int):
+    """Nodes and weights of a composite GL_ORDER-point Gauss-Legendre rule on [a, b]."""
+    x, w = _gl_nodes()
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 
 CSV_VERSION_COMMENT = "# typical-clt v1"
 
+# Standard errors of slack granted to the Monte Carlo side of every check.
+SLACK_SE = 3.0
+
 
 def format_value(x) -> str:
     """Stable, locale-independent cell formatting (round-trippable floats)."""
@@ -24,13 +27,18 @@ def format_value(x) -> str:
     return str(x)
 
 
+def format_row(row) -> str:
+    """One CSV line (without the newline) of formatted cells."""
+    return ",".join(format_value(v) for v in row)
+
+
 @dataclass
 class BoundCheck:
     name: str               # short machine identifier of the inequality
     statement: str          # human-readable form, e.g. "Var|X| <= sigma4^2"
     lhs: float
     rhs: float
-    slack: float            # allowed slack (3*SE for Monte Carlo checks)
+    slack: float            # allowed slack (SLACK_SE * SE for Monte Carlo checks)
     spec_id: str = ""
     n: int = 0
     seed: int = 0
@@ -84,7 +92,7 @@ def render_csv(header, rows) -> str:
     buf.write(CSV_VERSION_COMMENT + "\n")
     buf.write(",".join(header) + "\n")
     for row in rows:
-        buf.write(",".join(format_value(v) for v in row) + "\n")
+        buf.write(format_row(row) + "\n")
     return buf.getvalue()
 
 

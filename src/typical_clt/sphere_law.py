@@ -37,10 +37,17 @@ from .rng import as_rng
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Default sup-computation grids; fixed so report values are reproducible.
+# Sup-computation grids; fixed so report values are reproducible.
 DENSITY_GRID_POINTS = 4096
 CF_GRID_POINTS = 2048
 DEFAULT_N_GRID = (4, 8, 16, 64, 256, 1024)
+# gap_report: allowed ratio of n-scaled gaps to the reference n, and the
+# quadrature tolerance of the cf envelope check
+GAP_RATE_FACTOR = 4.0
+ENVELOPE_TOL = 1e-8
+# SphereCdfTable knots; JnTable spline step
+CDF_TABLE_KNOTS = 16385
+JN_TABLE_STEP = 0.02
 # Largest n whose bulk J_n is the closed form: JnTable's cutoff search
 # fails for n in {2, 4, 8, 12} and below.
 JN_CLOSED_FORM_MAX_N = 12
@@ -147,12 +154,12 @@ class SphereCdfTable:
     support edge where the density vanishes.
     """
 
-    def __init__(self, n: int, u_points: int = 16385):
+    def __init__(self, n: int):
         from scipy.interpolate import PchipInterpolator
 
         self.n = n
         self.root = SphereCoordinateLaw.for_dimension(n).support_radius
-        sin_u = np.sin(np.linspace(0.0, math.pi / 2.0, u_points))
+        sin_u = np.sin(np.linspace(0.0, math.pi / 2.0, CDF_TABLE_KNOTS))
         self._half = PchipInterpolator(self.root * sin_u,
                                        _beta_half_mass(n, np.square(sin_u)),
                                        extrapolate=False)
@@ -245,12 +252,12 @@ class JnTable:
     """Cubic-spline tabulation of J_n for bulk evaluation.
 
     J_n oscillates with period ~2 pi in its raw argument and its fourth
-    derivative is bounded by 1, so a 0.02-step spline is accurate to
-    ~1e-9.  Beyond the cutoff (where the verified envelope has dropped
-    below 1e-12) the table returns 0.
+    derivative is bounded by 1, so a JN_TABLE_STEP = 0.02 spline is
+    accurate to ~1e-9.  Beyond the cutoff (where the verified envelope has
+    dropped below 1e-12) the table returns 0.
     """
 
-    def __init__(self, n: int, step: float = 0.02):
+    def __init__(self, n: int):
         from scipy.interpolate import CubicSpline
 
         law = SphereCoordinateLaw.for_dimension(n)
@@ -262,7 +269,7 @@ class JnTable:
             cut *= 1.5
         else:
             raise NumericKernelError(f"J_n envelope does not decay by s={cut} (n={n})")
-        s = np.arange(0.0, cut + step, step)
+        s = np.arange(0.0, cut + JN_TABLE_STEP, JN_TABLE_STEP)
         vals = charfn_Jn_grid(law, s)
         vals[0] = 1.0
         self.n = n
@@ -300,7 +307,7 @@ def jn_table(n: int):
 # Gap report: distance of phi_n / J_n from their Gaussian limits
 # ---------------------------------------------------------------------------
 
-def _density_gap_sup(n: int, x_points: int) -> float:
+def _density_gap_sup(n: int) -> float:
     """sup over the x grid of |phi_n(x) - phi(x)| e^(x^2/8).
 
     Beyond the support the gap equals phi(x) e^(x^2/8), which decreases in
@@ -308,7 +315,7 @@ def _density_gap_sup(n: int, x_points: int) -> float:
     """
     law = SphereCoordinateLaw.for_dimension(n)
     root = law.support_radius
-    x = np.linspace(-root, root, x_points)
+    x = np.linspace(-root, root, DENSITY_GRID_POINTS)
     # endpoint refinement: geometric approach to the support boundary
     approach = root * (1.0 - 2.0 ** -np.arange(1, 44, dtype=float))
     x = np.unique(np.concatenate([x, approach, -approach]))
@@ -316,11 +323,11 @@ def _density_gap_sup(n: int, x_points: int) -> float:
     return float(gap.max())
 
 
-def _cf_gap_and_envelope(n: int, t_points: int):
+def _cf_gap_and_envelope(n: int):
     """(sup_t |J_n(t sqrt n) - e^(-t^2/2)|, worst envelope excess) on the t grid."""
     law = SphereCoordinateLaw.for_dimension(n)
     root = math.sqrt(n)
-    t = np.linspace(0.0, 3.0 * root, t_points)
+    t = np.linspace(0.0, 3.0 * root, CF_GRID_POINTS)
     j = charfn_Jn_grid(law, t * root)
     gauss = np.exp(-0.5 * np.square(t))
     k_sup = float(np.max(np.abs(j - gauss)))
@@ -329,21 +336,14 @@ def _cf_gap_and_envelope(n: int, t_points: int):
     return k_sup, worst_excess
 
 
-def gap_report(
-    n_grid=DEFAULT_N_GRID,
-    x_points: int = DENSITY_GRID_POINTS,
-    t_points: int = CF_GRID_POINTS,
-    reference_n: int = 64,
-    factor: float = 4.0,
-    envelope_tol: float = 1e-8,
-) -> BoundCheckReport:
+def gap_report(n_grid=DEFAULT_N_GRID, reference_n: int = 64) -> BoundCheckReport:
     """Quantify the O(1/n) Gaussian gaps and check the cf envelope bound.
 
     For each n the report records D_n (weighted density sup gap, n >= 3)
     and K_n (cf sup gap).  The family checks assert that n*D_n and n*K_n
-    stay within `factor` of their value at `reference_n`, and that
+    stay within GAP_RATE_FACTOR of their value at `reference_n`, and that
     |J_n(t sqrt n)| never exceeds 4.1 e^(-t^2/2) + 4 e^(-n/12) beyond
-    quadrature tolerance.
+    ENVELOPE_TOL.
     """
     n_grid = tuple(int(n) for n in n_grid)
     if any(n < 2 for n in n_grid):
@@ -352,16 +352,16 @@ def gap_report(
     nd, nk = {}, {}
     for n in n_grid:
         if n >= 3:
-            d_sup = _density_gap_sup(n, x_points)
+            d_sup = _density_gap_sup(n)
             nd[n] = n * d_sup
-        k_sup, excess = _cf_gap_and_envelope(n, t_points)
+        k_sup, excess = _cf_gap_and_envelope(n)
         nk[n] = n * k_sup
         report.add(BoundCheck(
             name="cf_envelope",
             statement="|J_n(t sqrt n)| <= 4.1 exp(-t^2/2) + 4 exp(-n/12)",
-            lhs=excess, rhs=0.0, slack=envelope_tol,
+            lhs=excess, rhs=0.0, slack=ENVELOPE_TOL,
             spec_id="sphere", n=n,
-            extra={"t_points": t_points},
+            extra={"t_points": CF_GRID_POINTS},
         ))
 
     def family_check(scaled: dict, name: str, statement: str):
@@ -372,7 +372,7 @@ def gap_report(
             ratio = max(v / ref, ref / v) if min(v, ref) > 0 else math.inf
             report.add(BoundCheck(
                 name=name, statement=statement,
-                lhs=ratio, rhs=factor, slack=0.0,
+                lhs=ratio, rhs=GAP_RATE_FACTOR, slack=0.0,
                 spec_id="sphere", n=n,
                 extra={"scaled_gap": v, "reference": ref},
             ))

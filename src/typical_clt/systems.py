@@ -297,10 +297,10 @@ def project(spec: SystemSpec, theta: Direction, count: int, rng) -> np.ndarray:
 # Built-in catalog
 # ---------------------------------------------------------------------------
 
-def spiked_eigenvalues(n: int, spike: float = 2.0, normalize: bool = True) -> tuple[float, ...]:
-    """One spiked eigenvalue, rest flat; optionally rescaled so the sum is n."""
+def spiked_eigenvalues(n: int, normalize: bool = True) -> tuple[float, ...]:
+    """Eigenvalue 2 first, the rest 1; optionally rescaled so the sum is n."""
     eig = np.ones(n)
-    eig[0] = spike
+    eig[0] = 2.0
     if normalize:
         eig *= n / eig.sum()
     return tuple(float(v) for v in eig)

@@ -280,6 +280,36 @@ class TestMeanThetaDistance:
             di.mean_theta_distance(spec_iid("normal", 8), "phi", theta_budget=2,
                                    per_theta_budget=500, threads=0)
 
+    @pytest.fixture
+    def table_builds(self, monkeypatch):
+        # every lookup-table build compresses its atoms exactly once; the
+        # list records the atom count of each build
+        builds = []
+        original = di.compress_atoms
+
+        def counting(radii, *args):
+            builds.append(radii.size)
+            return original(radii, *args)
+
+        monkeypatch.setattr(di, "compress_atoms", counting)
+        return builds
+
+    def test_table_built_once_when_read(self, table_builds):
+        # 64 atoms x 320000 jump points per direction take the table path;
+        # both pool threads read it, and one of them builds it
+        assert 64 * 320_000 > di.EXACT_PRODUCT_LIMIT
+        di.mean_theta_distance(spec_iid("uniform", 16), "G", theta_budget=4,
+                               per_theta_budget=320_000, radial_budget=64,
+                               rng=2, threads=2)
+        assert table_builds == [64]
+
+    def test_table_never_built_when_unread(self, table_builds):
+        # 100 atoms x 1000 points are summed directly
+        di.mean_theta_distance(spec_iid("uniform", 16), "G", theta_budget=4,
+                               per_theta_budget=1000, radial_budget=100,
+                               rng=2, threads=2)
+        assert table_builds == []
+
     def test_thread_determinism(self):
         spec = sy.SystemSpec(kind="trigonometric", n=16)
         r1 = di.mean_theta_distance(spec, "phi", theta_budget=6,

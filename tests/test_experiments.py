@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from typical_clt import experiments as ex
+from typical_clt import functionals as fn
+from typical_clt import reports
 from typical_clt.errors import ConfigurationError, FitUnavailableError
+from typical_clt.systems import SystemSpec
 
 
 def rows_from_curve(fn, ns, floor=1e-9):
@@ -236,6 +239,40 @@ class TestRunVerify:
         if suite == "functionals":
             assert len(idents) > 1
 
-    def test_seed_recorded_in_rows(self, tmp_path):
-        rep = ex.run_verify(suite="tail", budget_scale=0.05, seed=77)
-        assert all(c.seed == 77 for c in rep.checks)
+    @pytest.mark.parametrize("suite", list(ex.SUITES))
+    def test_seed_recorded_in_rows(self, suite):
+        # the run's seed, also on rows whose cell derives a seed of its own
+        rep = ex.run_verify(suite=suite, budget_scale=0.02, seed=77)
+        assert rep.checks and all(c.seed == 77 for c in rep.checks)
+
+
+class TestSlackSE:
+    """One constant, reports.SLACK_SE, sets every Monte Carlo slack."""
+
+    @pytest.mark.parametrize("suite, index", [("functionals", 7), ("charfn", 0)],
+                             ids=["aniso-n64", "poincare-trig-n64"])
+    def test_row_slack_scales(self, monkeypatch, suite, index):
+        # slack = SLACK_SE * se + a fixed tolerance, so it is linear in
+        # SLACK_SE; only rows with a zero SE (the cf at t = 0) stay put
+        cell = ex.SUITES[suite](0.02, 5)[index]
+        runs = []
+        for k in (0.0, 3.0, 6.0):
+            monkeypatch.setattr(reports, "SLACK_SE", k)
+            runs.append(cell().checks)
+        s0, s3, s6 = (np.array([c.slack for c in run]) for run in runs)
+        assert s6 - s0 == pytest.approx(2.0 * (s3 - s0), rel=1e-9, abs=1e-18)
+        moved = s3 != s0
+        if suite == "functionals":
+            assert moved.all()
+        else:
+            assert list(moved) == [c.extra["t"] > 0.0 for c in runs[0]]
+
+    def test_small_ball_passed(self, monkeypatch):
+        # a result reads SLACK_SE when asked, not when it was computed
+        res = fn.small_ball(SystemSpec(kind="trigonometric", n=32), budget=2000, rng=5)
+        for k in (0.0, 3.0, 6.0):
+            monkeypatch.setattr(reports, "SLACK_SE", k)
+            assert res.slack == k * (res.se + res.bound_se)
+        assert res.passed
+        monkeypatch.setattr(reports, "SLACK_SE", -1e9)
+        assert not res.passed

@@ -8,7 +8,7 @@ from scipy.stats import binom
 from typical_clt import functionals as fn
 from typical_clt import systems as sy
 from typical_clt.errors import DomainError, InsufficientDataError
-from typical_clt.rng import as_rng
+from typical_clt.rng import as_rng, make_rng
 
 
 def spec_iid(base, n=64):
@@ -34,6 +34,11 @@ class TestMomentMp:
     def test_p_below_one(self):
         with pytest.raises(DomainError):
             fn.moment_Mp(spec_iid("normal"), 0.5)
+
+    def test_search_budget(self):
+        # functionals --budget reaches the search, which needs 100 draws
+        with pytest.raises(InsufficientDataError):
+            fn.moment_Mp(spec_iid("rademacher", 8), 3.0, budget=10)
 
     def test_analytic_fallback_flag(self):
         # no closed form for the rademacher M_3: the search runs, flagged
@@ -229,6 +234,15 @@ class TestFunctionalsReport:
         names = {row[1] for row in rows}
         assert {"M_p", "m_p", "sigma_2p", "var_norm", "small_ball"} <= names
         assert all(row[0] == "uniform-n16" for row in rows)
+
+    def test_budget_reaches_Mp(self):
+        # the report's budget is the draw count of every estimate, M_p too
+        spec = spec_iid("uniform", 16)
+        report = fn.compute_functionals(spec, p_values=(3.0,), budget=2000, seed=9)
+        alone = fn.moment_Mp(spec, 3.0, budget=2000, rng=make_rng(9, "Mp", 6))
+        got = report.max_moments[3.0]
+        assert got.strategy == "search"
+        assert (got.value, got.se) == (alone.value, alone.se)
 
     def test_scale_behavior_prop_2_2(self):
         # (E|X|^p)^(1/p) <= M_p sqrt(n) on a couple of specs
