@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigurationError, DomainError, FitUnavailableError,
                      InsufficientDataError, NumericKernelError)
-from .sphere_law import (Direction, SphereCoordinateLaw, cdf, density,
-                         gap_report, norm_const, sample_direction)
+from .sphere_law import Direction, cdf, density, gap_report, sample_direction
 from .systems import (SampleBatch, SystemSpec, built_in_spec, default_catalog,
                       project, sample_vector, weighted_sum)
 from .functionals import (Estimate, FunctionalsReport, LowerTailBound,

@@ -37,8 +37,8 @@ CF_COMPRESS_ATOMS = 4096  # radial atoms kept for bulk J_n evaluation
 
 def default_t_grid(t_max: float, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """Log-spaced grid on [1e-3, t_max]; cf integrands vary multiplicatively."""
-    if t_max <= GRID_T_MIN:
-        raise DomainError(f"t_max must exceed {GRID_T_MIN}, got {t_max}")
+    if not (math.isfinite(t_max) and t_max > GRID_T_MIN):
+        raise DomainError(f"t_max must be finite and exceed {GRID_T_MIN}, got {t_max}")
     if points < 2:
         raise DomainError(f"a t grid needs at least 2 points, got {points}")
     return np.geomspace(GRID_T_MIN, t_max, points)

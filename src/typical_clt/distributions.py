@@ -370,11 +370,6 @@ def mean_theta_distance(
         raise InsufficientDataError("need at least 2 directions for a standard error")
     if per_theta_budget < 100:
         raise InsufficientDataError("need at least 100 samples per direction")
-    # the catalog's normalized eigenvalues sum to n only up to rounding
-    if target == "phi" and not math.isclose(spec.mean_square_norm, spec.n,
-                                            rel_tol=1e-12):
-        raise DomainError(
-            "target phi requires a normalized system with E|X|^2 = n")
     master = master_seed(rng)
     target_cdf = build_target(spec, target, radial_budget, make_rng(master, "radial"))
     # a direction's step CDF has at most per_theta_budget jump points, so

@@ -30,7 +30,7 @@ from . import functionals as fn
 from . import reports
 from . import sphere_law as sl
 from .errors import ConfigurationError, FitUnavailableError
-from .reports import BoundCheck, BoundCheckReport, render_csv, write_csv
+from .reports import BoundCheck, BoundCheckReport, write_csv
 from .rng import make_rng, master_seed
 from .systems import SystemSpec, built_in_spec, default_catalog, sample_vector
 
@@ -73,7 +73,8 @@ class SweepConfig:
         for name in ("theta_budget", "per_theta_budget", "radial_budget"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
-        built_in_spec(self.system, ns[0])  # raises on unknown system names
+        for n in ns:  # raises on an unknown name or an n it rejects (odd trig n)
+            built_in_spec(self.system, n)
 
 
 _CONFIG_SCHEMA = {
@@ -333,7 +334,7 @@ def _suite_charfn(scale: float, seed: int) -> list:
     specs = [
         SystemSpec(kind="trigonometric", n=64),
         SystemSpec(kind="walsh", n=63),
-        SystemSpec(kind="iid", n=64, base="uniform"),
+        SystemSpec(kind="uniform", n=64),
     ]
     poincare_ts = [0.0, 0.5, 1.0, 2.0, 4.0]
     decay_ts = np.linspace(0.0, 10.0, 11)
@@ -408,8 +409,3 @@ def run_verify(suite: str = "all", budget_scale: float = 1.0,
     if output is not None:
         write_csv(output, header, rows)
     return report
-
-
-def render_verify_csv(report: BoundCheckReport) -> str:
-    header, rows = report.csv_rows()
-    return render_csv(header, rows)

@@ -27,7 +27,7 @@ from . import reports
 from .errors import DomainError, InsufficientDataError, NumericKernelError
 from .reports import BoundCheck, BoundCheckReport
 from .rng import as_rng, make_rng
-from .systems import SystemSpec, sample_vector
+from .systems import SystemSpec, sample_vector, spiked_eigenvalues
 
 BOOTSTRAP_REPS = 200
 PAIR_BLOCK = 1 << 16
@@ -36,8 +36,21 @@ SEARCH_DIRECTIONS = 64  # random candidates of the M_p search
 
 @dataclass(frozen=True)
 class Estimate:
+    """A value with its standard error; both finite, else the estimate overflowed."""
+
     value: float
     se: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.value) and math.isfinite(self.se)):
+            raise NumericKernelError(
+                f"estimate overflows a float: value {self.value}, se {self.se}")
+
+
+def check_order(p: float) -> None:
+    """The moment orders of this module: finite p >= 1."""
+    if not (math.isfinite(p) and p >= 1):
+        raise DomainError(f"moment order must be finite with p >= 1, got {p}")
 
 
 def _bootstrap_se(values: np.ndarray, statistic, rng: np.random.Generator):
@@ -58,8 +71,11 @@ def root_mean_se(v: np.ndarray, p: float) -> float:
 
 
 def gauss_abs_moment(p: float) -> float:
-    """E|Z|^p for standard normal Z."""
-    return 2.0 ** (p / 2.0) * math.exp(math.lgamma((p + 1.0) / 2.0)) / math.sqrt(math.pi)
+    """E|Z|^p for standard normal Z; NumericKernelError past the float range."""
+    try:
+        return 2.0 ** (p / 2.0) * math.exp(math.lgamma((p + 1.0) / 2.0)) / math.sqrt(math.pi)
+    except OverflowError:
+        raise NumericKernelError(f"E|Z|^p overflows a float at p = {p}") from None
 
 
 def _abs_pow(x: np.ndarray, p: float) -> np.ndarray:
@@ -78,9 +94,7 @@ def _abs_pow(x: np.ndarray, p: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MomentEstimate:
-    value: float
-    se: float
+class MomentEstimate(Estimate):
     strategy: str           # "analytic" or "search"
     direction: np.ndarray | None = None
 
@@ -92,7 +106,7 @@ class MomentEstimate:
 def _analytic_Mp(spec: SystemSpec, p: float) -> float | None:
     if spec.is_gaussian:
         if spec.kind == "gaussian_anisotropic":
-            top = math.sqrt(max(spec.eigenvalues))
+            top = math.sqrt(max(spiked_eigenvalues(spec.n)))
         else:
             top = 1.0
         return top * gauss_abs_moment(p) ** (1.0 / p)
@@ -143,8 +157,7 @@ def moment_Mp(spec: SystemSpec, p: float, budget: int = 20000, rng=0) -> MomentE
     The closed form (exact, SE 0) where one exists, otherwise the search
     over directions, which is a lower-bound estimate.
     """
-    if p < 1:
-        raise DomainError(f"moment order must satisfy p >= 1, got {p}")
+    check_order(p)
     analytic = _analytic_Mp(spec, p)
     if analytic is not None:
         return MomentEstimate(value=analytic, se=0.0, strategy="analytic")
@@ -177,8 +190,7 @@ def _pair_inner_products(spec: SystemSpec, pairs: int, rng) -> np.ndarray:
 
 def moment_mp(spec: SystemSpec, p: float, pairs: int = 20000, rng=0) -> Estimate:
     """m_p estimate over independent pairs, with bootstrap SE."""
-    if p < 1:
-        raise DomainError(f"moment order must satisfy p >= 1, got {p}")
+    check_order(p)
     if pairs < 100:
         raise InsufficientDataError(f"need at least 100 pairs, got {pairs}")
     ip = _pair_inner_products(spec, pairs, rng)
@@ -194,8 +206,7 @@ def moment_mp(spec: SystemSpec, p: float, pairs: int = 20000, rng=0) -> Estimate
 
 def sigma_2p(spec: SystemSpec, p: float, budget: int = 20000, rng=0) -> Estimate:
     """sigma_{2p} estimate: sqrt(n) (E | |X|^2/n - 1 |^p)^(1/p)."""
-    if p < 1:
-        raise DomainError(f"moment order must satisfy p >= 1, got {p}")
+    check_order(p)
     if budget < 100:
         raise InsufficientDataError(f"need a budget of at least 100, got {budget}")
     gen = as_rng(rng, "sigma")
@@ -425,6 +436,8 @@ class FunctionalsReport:
 def compute_functionals(spec: SystemSpec, p_values=(2.0, 3.0), budget: int = 20000,
                         seed: int = 0) -> FunctionalsReport:
     """One-stop report of all functionals for a spec."""
+    for p in p_values:
+        check_order(p)
     report = FunctionalsReport(spec_id=spec.spec_id, n=spec.n, budget=budget, seed=seed)
     for p in p_values:
         report.max_moments[p] = moment_Mp(spec, p, budget=budget,

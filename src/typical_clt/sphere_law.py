@@ -65,27 +65,6 @@ def log_norm_const(n: int) -> float:
     return math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0) - 0.5 * math.log(math.pi * n)
 
 
-def norm_const(n: int) -> float:
-    """Normalizing constant c of the density; c < 1/sqrt(2 pi) for n >= 2."""
-    return math.exp(log_norm_const(n))
-
-
-@dataclass(frozen=True)
-class SphereCoordinateLaw:
-    """Distribution of sqrt(n) * theta_1 for theta uniform on S^(n-1)."""
-
-    n: int
-    log_norm_const: float
-
-    @classmethod
-    def for_dimension(cls, n: int) -> "SphereCoordinateLaw":
-        return cls(n=int(n), log_norm_const=log_norm_const(n))
-
-    @property
-    def support_radius(self) -> float:
-        return math.sqrt(self.n)
-
-
 @dataclass(frozen=True)
 class Direction:
     """Unit vector in R^n; squared norm within 1e-12 of 1."""
@@ -102,24 +81,13 @@ class Direction:
         return self.coords.shape[0]
 
 
-def density(law: SphereCoordinateLaw, x: float) -> float:
-    """Density at x, evaluated via |x| in log space to avoid underflow."""
-    x2 = float(x) * float(x)
-    n = law.n
-    if x2 >= n:
-        return 0.0
-    return math.exp(law.log_norm_const + 0.5 * (n - 3) * math.log1p(-x2 / n))
-
-
-def density_grid(law: SphereCoordinateLaw, x) -> np.ndarray:
-    """Vectorized density evaluation."""
-    x = np.asarray(x, dtype=float)
-    x2 = np.square(x)
-    n = law.n
+def density(n: int, x) -> np.ndarray:
+    """Density at x (scalar or array), evaluated in log space to avoid underflow."""
+    x2 = np.square(np.asarray(x, dtype=float))
     inside = x2 < n
     out = np.zeros_like(x2)
     ratio = np.where(inside, x2 / n, 0.0)
-    out[inside] = np.exp(law.log_norm_const + 0.5 * (n - 3) * np.log1p(-ratio[inside]))
+    out[inside] = np.exp(log_norm_const(n) + 0.5 * (n - 3) * np.log1p(-ratio[inside]))
     return out
 
 
@@ -133,16 +101,16 @@ def _beta_half_mass(n: int, ratio):
     return 0.5 * betainc(0.5, 0.5 * (n - 1), ratio)
 
 
-def cdf(law: SphereCoordinateLaw, x: float) -> float:
+def cdf(n: int, x: float) -> float:
     """CDF at x in closed form; symmetric by construction, cdf(0) = 1/2."""
-    root = law.support_radius
+    root = math.sqrt(n)
     if x <= -root:
         return 0.0
     if x >= root:
         return 1.0
     if x > 0.0:
-        return 1.0 - cdf(law, -x)
-    return 0.5 - float(_beta_half_mass(law.n, x * x / law.n))
+        return 1.0 - cdf(n, -x)
+    return 0.5 - float(_beta_half_mass(n, x * x / n))
 
 
 class SphereCdfTable:
@@ -158,7 +126,7 @@ class SphereCdfTable:
         from scipy.interpolate import PchipInterpolator
 
         self.n = n
-        self.root = SphereCoordinateLaw.for_dimension(n).support_radius
+        self.root = math.sqrt(n)
         sin_u = np.sin(np.linspace(0.0, math.pi / 2.0, CDF_TABLE_KNOTS))
         self._half = PchipInterpolator(self.root * sin_u,
                                        _beta_half_mass(n, np.square(sin_u)),
@@ -222,7 +190,7 @@ def _jn_apply(sin_u, g, args) -> np.ndarray:
     return kernel_sum(lambda s, x: np.cos(s * x), args, sin_u, g, chunk=256)
 
 
-def charfn_Jn_grid(law: SphereCoordinateLaw, args) -> np.ndarray:
+def charfn_Jn_grid(n: int, args) -> np.ndarray:
     """Vectorized J_n over an array of arguments (one shared rule).
 
     A subsample is recomputed at doubled panel count and must agree to
@@ -231,18 +199,18 @@ def charfn_Jn_grid(law: SphereCoordinateLaw, args) -> np.ndarray:
     args = np.atleast_1d(np.asarray(args, dtype=float))
     s = np.abs(args)
     max_arg = float(s.max()) if s.size else 0.0
-    sin_u, g, panels = _jn_rule(law.n, max_arg)
+    sin_u, g, panels = _jn_rule(n, max_arg)
     vals = _jn_apply(sin_u, g, s)
     if s.size:
         idx = np.unique(np.linspace(0, s.size - 1, min(48, s.size)).astype(int))
         order = np.argsort(s)
         check_idx = np.unique(np.concatenate([idx, order[-4:]]))
-        sin2, g2, _ = _jn_rule(law.n, max_arg, panels=2 * panels)
+        sin2, g2, _ = _jn_rule(n, max_arg, panels=2 * panels)
         ref = _jn_apply(sin2, g2, s[check_idx])
         delta = float(np.max(np.abs(ref - vals[check_idx])))
         if delta > 1e-10:
             raise NumericKernelError(
-                f"J_n grid quadrature not converged: n={law.n}, "
+                f"J_n grid quadrature not converged: n={n}, "
                 f"max_arg={max_arg:.3g}, panels={panels}, delta={delta:.3e}"
             )
     return vals
@@ -260,17 +228,16 @@ class JnTable:
     def __init__(self, n: int):
         from scipy.interpolate import CubicSpline
 
-        law = SphereCoordinateLaw.for_dimension(n)
         cut = 8.0 * math.sqrt(n)
         for _ in range(8):
             probe = np.linspace(cut, 3.0 * cut, 64)
-            if float(np.abs(charfn_Jn_grid(law, probe)).max()) < 1e-12:
+            if float(np.abs(charfn_Jn_grid(n, probe)).max()) < 1e-12:
                 break
             cut *= 1.5
         else:
             raise NumericKernelError(f"J_n envelope does not decay by s={cut} (n={n})")
         s = np.arange(0.0, cut + JN_TABLE_STEP, JN_TABLE_STEP)
-        vals = charfn_Jn_grid(law, s)
+        vals = charfn_Jn_grid(n, s)
         vals[0] = 1.0
         self.n = n
         self.cut = float(s[-1])
@@ -313,22 +280,20 @@ def _density_gap_sup(n: int) -> float:
     Beyond the support the gap equals phi(x) e^(x^2/8), which decreases in
     |x|, so including the endpoints +-sqrt(n) covers the whole line.
     """
-    law = SphereCoordinateLaw.for_dimension(n)
-    root = law.support_radius
+    root = math.sqrt(n)
     x = np.linspace(-root, root, DENSITY_GRID_POINTS)
     # endpoint refinement: geometric approach to the support boundary
     approach = root * (1.0 - 2.0 ** -np.arange(1, 44, dtype=float))
     x = np.unique(np.concatenate([x, approach, -approach]))
-    gap = np.abs(density_grid(law, x) - normal_pdf(x)) * np.exp(np.square(x) / 8.0)
+    gap = np.abs(density(n, x) - normal_pdf(x)) * np.exp(np.square(x) / 8.0)
     return float(gap.max())
 
 
 def _cf_gap_and_envelope(n: int):
     """(sup_t |J_n(t sqrt n) - e^(-t^2/2)|, worst envelope excess) on the t grid."""
-    law = SphereCoordinateLaw.for_dimension(n)
     root = math.sqrt(n)
     t = np.linspace(0.0, 3.0 * root, CF_GRID_POINTS)
-    j = charfn_Jn_grid(law, t * root)
+    j = charfn_Jn_grid(n, t * root)
     gauss = np.exp(-0.5 * np.square(t))
     k_sup = float(np.max(np.abs(j - gauss)))
     envelope = 4.1 * gauss + 4.0 * math.exp(-n / 12.0)

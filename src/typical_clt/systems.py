@@ -1,11 +1,13 @@
 """System specs, their samplers and matrix-free projections.
 
-A system is one of the closed set of kinds in KINDS, with its
-parameters.  Every one is centered with unit-variance coordinates, so
-E|X|^2 = n, except the anisotropic Gaussian where E|X|^2 is the sum of
-the covariance eigenvalues.  Samplers are deterministic given (spec,
-integer seed): large batches are sharded with per-shard derived seeds,
-so the assembled matrix never depends on execution order.
+A system is one of the catalog kinds in KINDS and a dimension n; the
+kind and n fix everything else (the Walsh characters, the anisotropic
+covariance).  Every system is centered with E|X|^2 = n: unit-variance
+coordinates, or for the anisotropic Gaussian covariance eigenvalues
+rescaled to sum to n (up to rounding).  Samplers are deterministic
+given (spec, integer seed): large batches are sharded with per-shard
+derived seeds, so the assembled matrix never depends on execution
+order.
 
 `project` returns the weighted sums <X, theta> from the same draws as
 `weighted_sum(sample_vector(...))`, without the N x n matrix where the
@@ -29,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,20 +42,20 @@ from .sphere_law import Direction
 SQRT3 = math.sqrt(3.0)
 SQRT2 = math.sqrt(2.0)
 
-IID_BASES = ("rademacher", "uniform", "exponential", "normal")
-KINDS = ("iid", "trigonometric", "walsh", "fixed_norm_rademacher", "gaussian_anisotropic")
+# The catalog kinds, in catalog order; spec_id shortens three of them.
+KINDS = ("rademacher", "uniform", "exponential", "normal", "trigonometric", "walsh",
+         "fixed_norm_rademacher", "gaussian_anisotropic")
+SHORT_NAMES = {"trigonometric": "trig", "fixed_norm_rademacher": "fixed_norm",
+               "gaussian_anisotropic": "aniso"}
+KIND_OF_SHORT_NAME = {short: kind for kind, short in SHORT_NAMES.items()}
 
 SHARD_SIZE = 1 << 16
 
 
+@lru_cache(maxsize=None)
 def default_walsh_characters(n: int) -> tuple[tuple[int, ...], ...]:
-    """The n smallest nonempty subsets of {1..m} in graded-lex order.
-
-    m is minimal with 2^m - 1 >= n.
-    """
-    m = 1
-    while (1 << m) - 1 < n:
-        m += 1
+    """The n smallest nonempty subsets of {1..m}, m = walsh_bits(n), in graded-lex order."""
+    m = walsh_bits(n)
     chars = []
     for size in range(1, m + 1):
         for combo in itertools.combinations(range(1, m + 1), size):
@@ -62,96 +65,42 @@ def default_walsh_characters(n: int) -> tuple[tuple[int, ...], ...]:
     raise AssertionError("unreachable")
 
 
+def walsh_bits(n: int) -> int:
+    """The minimal m with 2^m - 1 >= n: the sign bits of a Walsh row."""
+    return int(n).bit_length()
+
+
 @dataclass(frozen=True)
 class SystemSpec:
+    """A catalog system: its kind and dimension determine its law."""
+
     kind: str
     n: int
-    base: str | None = None
-    characters: tuple[tuple[int, ...], ...] | None = None
-    eigenvalues: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
             raise ConfigurationError(f"dimension must be an integer >= 2, got {self.n}")
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown system kind {self.kind!r}")
-        if self.kind == "iid":
-            if self.base not in IID_BASES:
-                raise ConfigurationError(f"unknown iid base {self.base!r}")
-        elif self.base is not None:
-            raise ConfigurationError(f"base is only valid for iid systems, got kind={self.kind!r}")
         if self.kind == "trigonometric" and self.n % 2 != 0:
             raise ConfigurationError(f"trigonometric system needs even n, got {self.n}")
-        if self.kind == "walsh":
-            chars = self.characters
-            if chars is None:
-                chars = default_walsh_characters(self.n)
-                object.__setattr__(self, "characters", chars)
-            chars = tuple(tuple(sorted(c)) for c in chars)
-            object.__setattr__(self, "characters", chars)
-            if len(chars) != self.n:
-                raise ConfigurationError(
-                    f"walsh system needs {self.n} characters, got {len(chars)}"
-                )
-            if any(len(c) == 0 for c in chars):
-                raise ConfigurationError("walsh characters must be nonempty index sets")
-            if len(set(chars)) != len(chars):
-                raise ConfigurationError("walsh characters must be distinct")
-            if any(i < 1 for c in chars for i in c):
-                raise ConfigurationError("walsh character indices are 1-based positive integers")
-        elif self.characters is not None:
-            raise ConfigurationError("characters are only valid for walsh systems")
-        if self.kind == "gaussian_anisotropic":
-            if self.eigenvalues is None or len(self.eigenvalues) != self.n:
-                raise ConfigurationError("gaussian_anisotropic needs one eigenvalue per coordinate")
-            eig = tuple(float(v) for v in self.eigenvalues)
-            if any(v <= 0 for v in eig):
-                raise ConfigurationError("covariance eigenvalues must be positive")
-            object.__setattr__(self, "eigenvalues", eig)
-        elif self.eigenvalues is not None:
-            raise ConfigurationError("eigenvalues are only valid for gaussian_anisotropic")
 
     @property
     def spec_id(self) -> str:
-        if self.kind == "iid":
-            return f"{self.base}-n{self.n}"
-        short = {
-            "trigonometric": "trig",
-            "walsh": "walsh",
-            "fixed_norm_rademacher": "fixed_norm",
-            "gaussian_anisotropic": "aniso",
-        }[self.kind]
-        return f"{short}-n{self.n}"
+        return f"{SHORT_NAMES.get(self.kind, self.kind)}-n{self.n}"
 
     @property
     def is_fixed_norm(self) -> bool:
         """Whether |X|^2 = n holds almost surely."""
-        return (
-            self.kind in ("trigonometric", "walsh", "fixed_norm_rademacher")
-            or (self.kind == "iid" and self.base == "rademacher")
-        )
+        return self.kind in ("rademacher", "trigonometric", "walsh", "fixed_norm_rademacher")
 
     @property
     def is_isotropic(self) -> bool:
-        if self.kind == "gaussian_anisotropic":
-            return all(v == 1.0 for v in self.eigenvalues)
-        return self.kind in ("iid", "trigonometric", "walsh", "fixed_norm_rademacher")
+        return self.kind != "gaussian_anisotropic"
 
     @property
     def is_gaussian(self) -> bool:
-        return self.kind == "gaussian_anisotropic" or (
-            self.kind == "iid" and self.base == "normal"
-        )
-
-    @property
-    def mean_square_norm(self) -> float:
-        if self.kind == "gaussian_anisotropic":
-            return float(sum(self.eigenvalues))
-        return float(self.n)
-
-    @property
-    def walsh_bits(self) -> int:
-        return max(i for c in self.characters for i in c)
+        return self.kind in ("normal", "gaussian_anisotropic")
 
 
 @dataclass(frozen=True)
@@ -167,19 +116,19 @@ class SampleBatch:
 def _sample_rows(spec: SystemSpec, count: int, gen: np.random.Generator) -> np.ndarray:
     n = spec.n
     # affine maps act in place: no second count x n array
-    # fixed-norm rademacher draws exactly like iid rademacher
-    if spec.kind == "fixed_norm_rademacher" or spec.base == "rademacher":
+    # fixed-norm rademacher draws exactly like rademacher
+    if spec.kind in ("rademacher", "fixed_norm_rademacher"):
         out = gen.integers(0, 2, size=(count, n)).astype(float)
         out *= 2.0
         out -= 1.0
         return out
-    if spec.kind == "iid":
-        if spec.base == "uniform":
-            return gen.uniform(-SQRT3, SQRT3, size=(count, n))
-        if spec.base == "exponential":
-            out = gen.standard_exponential(size=(count, n))
-            out -= 1.0
-            return out
+    if spec.kind == "uniform":
+        return gen.uniform(-SQRT3, SQRT3, size=(count, n))
+    if spec.kind == "exponential":
+        out = gen.standard_exponential(size=(count, n))
+        out -= 1.0
+        return out
+    if spec.kind == "normal":
         return gen.standard_normal(size=(count, n))
     if spec.kind == "trigonometric":
         omega = gen.uniform(-math.pi, math.pi, size=count)
@@ -190,17 +139,17 @@ def _sample_rows(spec: SystemSpec, count: int, gen: np.random.Generator) -> np.n
         out[:, 1::2] = SQRT2 * np.sin(ang)
         return out
     if spec.kind == "walsh":
-        return _walsh_rows(spec, gen.integers(0, 2, size=(count, spec.walsh_bits)))
+        return _walsh_rows(n, gen.integers(0, 2, size=(count, walsh_bits(n))))
     out = gen.standard_normal(size=(count, n))  # gaussian_anisotropic
-    out *= np.sqrt(np.asarray(spec.eigenvalues))
+    out *= np.sqrt(np.asarray(spiked_eigenvalues(n)))
     return out
 
 
-def _walsh_rows(spec: SystemSpec, bits: np.ndarray) -> np.ndarray:
-    """Walsh characters at the sign rows eps = 2 bits - 1."""
+def _walsh_rows(n: int, bits: np.ndarray) -> np.ndarray:
+    """The n Walsh characters at the sign rows eps = 2 bits - 1."""
     eps = bits.astype(float) * 2.0 - 1.0
-    out = np.empty((bits.shape[0], spec.n))
-    for j, char in enumerate(spec.characters):
+    out = np.empty((bits.shape[0], n))
+    for j, char in enumerate(default_walsh_characters(n)):
         idx = np.array(char) - 1
         out[:, j] = np.prod(eps[:, idx], axis=1)
     return out
@@ -261,12 +210,12 @@ def _trig_projector(theta: Direction):
     return draw
 
 
-def _walsh_projector(spec: SystemSpec, theta: Direction):
+def _walsh_projector(theta: Direction):
     """rows, generator -> <X, theta> looked up by packed sign pattern."""
-    m = spec.walsh_bits
+    m = walsh_bits(theta.n)
     powers = 1 << np.arange(m)
     cube = (np.arange(1 << m)[:, None] & powers[None, :]) != 0
-    values = _walsh_rows(spec, cube) @ theta.coords
+    values = _walsh_rows(theta.n, cube) @ theta.coords
 
     def draw(rows: int, gen: np.random.Generator) -> np.ndarray:
         return values[gen.integers(0, 2, size=(rows, m)) @ powers]
@@ -286,8 +235,8 @@ def project(spec: SystemSpec, theta: Direction, count: int, rng) -> np.ndarray:
             f"dimension mismatch: system has n={spec.n}, direction has n={theta.n}")
     if spec.kind == "trigonometric":
         draw = _trig_projector(theta)
-    elif spec.kind == "walsh" and (1 << spec.walsh_bits) <= count:
-        draw = _walsh_projector(spec, theta)
+    elif spec.kind == "walsh" and (1 << walsh_bits(spec.n)) <= count:
+        draw = _walsh_projector(theta)
     else:
         return weighted_sum(sample_vector(spec, count, rng), theta)
     return _in_shards(draw, count, rng)
@@ -297,41 +246,28 @@ def project(spec: SystemSpec, theta: Direction, count: int, rng) -> np.ndarray:
 # Built-in catalog
 # ---------------------------------------------------------------------------
 
-def spiked_eigenvalues(n: int, normalize: bool = True) -> tuple[float, ...]:
-    """Eigenvalue 2 first, the rest 1; optionally rescaled so the sum is n."""
+@lru_cache(maxsize=None)
+def spiked_eigenvalues(n: int) -> tuple[float, ...]:
+    """Eigenvalue 2 first, the rest 1, rescaled so that the sum is n."""
     eig = np.ones(n)
     eig[0] = 2.0
-    if normalize:
-        eig *= n / eig.sum()
+    eig *= n / eig.sum()
     return tuple(float(v) for v in eig)
 
 
 def built_in_spec(name: str, n: int) -> SystemSpec:
-    """Construct a catalog system by CLI name."""
+    """Construct a catalog system by CLI name: a kind or its short name."""
     name = name.lower()
-    if name in IID_BASES:
-        return SystemSpec(kind="iid", n=n, base=name)
-    if name in ("trigonometric", "trig"):
-        return SystemSpec(kind="trigonometric", n=n)
-    if name == "walsh":
-        return SystemSpec(kind="walsh", n=n)
-    if name in ("fixed_norm_rademacher", "fixed_norm"):
-        return SystemSpec(kind="fixed_norm_rademacher", n=n)
-    if name in ("gaussian_anisotropic", "aniso"):
-        return SystemSpec(kind="gaussian_anisotropic", n=n, eigenvalues=spiked_eigenvalues(n))
-    raise ConfigurationError(f"unknown system name {name!r}")
+    kind = KIND_OF_SHORT_NAME.get(name, name)
+    if kind not in KINDS:
+        raise ConfigurationError(f"unknown system name {name!r}")
+    return SystemSpec(kind=kind, n=n)
 
 
 def default_catalog(n: int = 64) -> list[SystemSpec]:
-    """The systems exercised by the verification suites."""
-    walsh_n = n - 1  # 2^m - 1 shape: all nonempty characters of a minimal cube
-    return [
-        SystemSpec(kind="iid", n=n, base="rademacher"),
-        SystemSpec(kind="iid", n=n, base="uniform"),
-        SystemSpec(kind="iid", n=n, base="exponential"),
-        SystemSpec(kind="iid", n=n, base="normal"),
-        SystemSpec(kind="trigonometric", n=n),
-        SystemSpec(kind="walsh", n=walsh_n),
-        SystemSpec(kind="fixed_norm_rademacher", n=n),
-        SystemSpec(kind="gaussian_anisotropic", n=n, eigenvalues=spiked_eigenvalues(n)),
-    ]
+    """The systems exercised by the verification suites, one per kind.
+
+    Walsh takes n - 1, the 2^m - 1 shape: all nonempty characters of a
+    minimal cube.
+    """
+    return [SystemSpec(kind=kind, n=n - 1 if kind == "walsh" else n) for kind in KINDS]

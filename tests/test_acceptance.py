@@ -131,7 +131,8 @@ def test_criterion_7_uniform_radial_mixture_rate(tmp_path_factory):
     budgets.  Smooth product bases with finite fourth moment decay at the
     faster ~1/n rate, so the signal drops below the floor and no
     admissible window matches the asserted bracket around n^(-1/2); see
-    the repository notes for the measured numbers.
+    ROADMAP.md items 1 (exact rates below the Monte Carlo floor) and 7
+    (the Edgeworth 1/n constant) for the measured numbers.
     """
     config = _sweep(tmp_path_factory, "uniform", "uniform", "G")
     rows = None
@@ -159,7 +160,7 @@ def test_criterion_7_uniform_radial_mixture_rate(tmp_path_factory):
     assert variation_ok, f"variation factor {variation:.2f} exceeds 3"
     assert slope_ok, (
         f"{slope_msg}; expected a slope in [-0.65, -0.35], but the measured "
-        f"decay of this system is ~1/n (see notes): means "
+        f"decay of this system is ~1/n (see ROADMAP.md items 1 and 7): means "
         f"{[(r.n, round(r.mean_rho, 5)) for r in rows]}, "
         f"3x floor {3 * rows[0].noise_floor:.5f}")
 
@@ -168,8 +169,9 @@ def test_criterion_8_skewed_base_rate(tmp_path_factory):
     """Slope window for the centered-exponential sweep against the normal law.
 
     Measured honestly at the default budgets; the true decay of this
-    system also steepens toward 1/n, so the fitted slope sits near the
-    lower edge of the asserted window (analysis in the repository notes).
+    system also steepens toward 1/n, so the fitted slope (-0.850 at the
+    default seed) falls below the asserted window [-0.70, -0.30]; see
+    ROADMAP.md items 1 and 7 for the analysis.
     """
     config = _sweep(tmp_path_factory, "exponential", "exponential", "phi")
     t0 = time.monotonic()

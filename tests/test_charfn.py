@@ -10,12 +10,11 @@ from typical_clt.errors import DomainError, InsufficientDataError
 from typical_clt.functionals import sigma_2p
 from typical_clt.quadrature import kernel_sum
 from typical_clt.rng import make_rng
-from typical_clt.sphere_law import (SphereCoordinateLaw, charfn_Jn_grid, density_grid,
-                                    sample_direction)
+from typical_clt.sphere_law import charfn_Jn_grid, density, sample_direction
 
 
 def spec_iid(base, n=64):
-    return sy.SystemSpec(kind="iid", n=n, base=base)
+    return sy.SystemSpec(kind=base, n=n)
 
 
 TRIG64 = sy.SystemSpec(kind="trigonometric", n=64)
@@ -80,8 +79,7 @@ class TestTypicalCf:
     def test_fixed_norm_exact(self):
         t = np.array([0.0, 0.5, 1.0, 3.0])
         est = cf.charfn_typical(TRIG64, t)
-        law = SphereCoordinateLaw.for_dimension(64)
-        expect = charfn_Jn_grid(law, t * 8.0)
+        expect = charfn_Jn_grid(64, t * 8.0)
         assert np.abs(est.values.real - expect).max() <= 1e-9
         assert np.all(est.se == 0.0)
 
@@ -126,10 +124,9 @@ class TestTypicalCf:
                                 radial_budget=20_000, rng=5)
         mix = di.typical_cdf(spec, radial_budget=20_000, rng=5)
         radii, weights = di.compress_atoms(mix.radii, mix.weights, 2048)
-        law = SphereCoordinateLaw.for_dimension(32)
         xs = np.linspace(-mix.span, mix.span, 2 ** 16 + 1)
         # mixture density: sum_i w_i phi_n(x / r_i) / r_i
-        dens = kernel_sum(lambda x, r: density_grid(law, x / r), xs, radii,
+        dens = kernel_sum(lambda x, r: density(32, x / r), xs, radii,
                           weights / weights.sum() / radii, chunk=2000)
         ft = np.array([np.trapezoid(np.cos(tt * xs) * dens, xs) for tt in est.t])
         assert np.abs(est.values.real - ft).max() <= 1e-3

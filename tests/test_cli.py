@@ -135,10 +135,26 @@ class TestOtherCommands:
                     "--output", out])
         assert code == cli.EXIT_OK
 
-    @pytest.mark.parametrize("orders", ["x", "2,", "2,,3"])
+    @pytest.mark.parametrize("orders", ["x", "2,", "2,,3", "nan", "inf", "2,-inf"])
     def test_bad_moment_orders_exit_two(self, orders):
         assert run(["functionals", "--spec", "uniform", "--n", "16",
                     "--p", orders, "--budget", "200"]) == cli.EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("spec", ["normal", "uniform"])
+    def test_overflowing_moment_exit_three(self, spec, capsys):
+        # E|<X, Y>|^400 and, for the normal system, E|Z|^400 exceed a float
+        code = run(["functionals", "--spec", spec, "--n", "16",
+                    "--p", "400", "--budget", "200"])
+        assert code == cli.EXIT_NUMERIC_ERROR
+        assert "overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tmax", ["nan", "inf"])
+    def test_charfn_non_finite_tmax_exit_two(self, tmp_path, tmax):
+        out = tmp_path / "cf.csv"
+        code = run(["charfn", "--spec", "uniform", "--n", "8", "--tmax", tmax,
+                    "--output", str(out)])
+        assert code == cli.EXIT_CONFIG_ERROR
+        assert not out.exists()
 
     @pytest.mark.parametrize("points", ["0", "1"])
     def test_charfn_too_few_points_exit_two(self, tmp_path, points):

@@ -13,7 +13,7 @@ from typical_clt.quadrature import kernel_sum
 
 
 def spec_iid(base, n=16):
-    return sy.SystemSpec(kind="iid", n=n, base=base)
+    return sy.SystemSpec(kind=base, n=n)
 
 
 def _normalized(weights):
@@ -268,12 +268,6 @@ class TestMeanThetaDistance:
         res = di.mean_theta_distance(spec, "phi", theta_budget=2,
                                      per_theta_budget=500, rng=3)
         assert 0.0 < res.mean < 1.0
-
-    def test_unnormalized_aniso_rejects_phi(self):
-        spec = sy.SystemSpec(kind="gaussian_anisotropic", n=64,
-                             eigenvalues=sy.spiked_eigenvalues(64, normalize=False))
-        with pytest.raises(DomainError):
-            di.mean_theta_distance(spec, "phi", theta_budget=2, per_theta_budget=500)
 
     def test_threads_below_one_rejected(self):
         with pytest.raises(ConfigurationError):

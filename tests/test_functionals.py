@@ -12,7 +12,7 @@ from typical_clt.rng import as_rng, make_rng
 
 
 def spec_iid(base, n=64):
-    return sy.SystemSpec(kind="iid", n=n, base=base)
+    return sy.SystemSpec(kind=base, n=n)
 
 
 class TestMomentMp:
@@ -22,8 +22,9 @@ class TestMomentMp:
         assert not est.is_lower_bound
 
     def test_aniso_p2(self):
-        spec = sy.SystemSpec(kind="gaussian_anisotropic", n=4, eigenvalues=(2, 1, 1, 1))
-        assert fn.moment_Mp(spec, 2.0).value == pytest.approx(math.sqrt(2.0))
+        # eigenvalues (1.6, 0.8, 0.8, 0.8): M_2 is the root of the largest
+        spec = sy.built_in_spec("aniso", 4)
+        assert fn.moment_Mp(spec, 2.0).value == pytest.approx(math.sqrt(1.6))
 
     def test_gaussian_any_p(self):
         # M_3 for the standard Gaussian: (E|Z|^3)^(1/3) = (2 sqrt(2/pi))^(1/3)
@@ -79,10 +80,10 @@ class TestMomentMp:
 
 class TestMomentMpPairs:
     def test_aniso_m2_squared(self):
-        spec = sy.SystemSpec(kind="gaussian_anisotropic", n=4, eigenvalues=(2, 1, 1, 1))
+        spec = sy.built_in_spec("aniso", 4)
         est = fn.moment_mp(spec, 2.0, pairs=60_000, rng=1)
-        # m_2^2 = (4 + 3)/4 for these eigenvalues
-        assert est.value ** 2 == pytest.approx(1.75, abs=8.0 * est.se)
+        # m_2^2 = sum(lambda^2)/n = (1.6^2 + 3 * 0.8^2)/4 = 1.12
+        assert est.value ** 2 == pytest.approx(1.12, abs=8.0 * est.se)
 
     def test_isotropic_m2_equals_one(self):
         for spec in (spec_iid("rademacher", 32), sy.SystemSpec(kind="walsh", n=31)):

@@ -12,64 +12,58 @@ from typical_clt.errors import DomainError
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def law(n):
-    return sl.SphereCoordinateLaw.for_dimension(n)
-
-
 class TestNormConst:
+    # the normalizing constant c is the density at the center, density(n, 0)
+
     def test_n3_uniform_law(self):
         # Z_3 is uniform on [-sqrt(3), sqrt(3)]: constant density 1/(2 sqrt 3)
-        assert sl.norm_const(3) == pytest.approx(1.0 / (2.0 * math.sqrt(3)), abs=1e-15)
+        assert sl.density(3, 0.0) == pytest.approx(1.0 / (2.0 * math.sqrt(3)), abs=1e-15)
 
     def test_limit(self):
-        assert abs(sl.norm_const(1000) - INV_SQRT_2PI) < 0.01
+        assert abs(sl.density(1000, 0.0) - INV_SQRT_2PI) < 0.01
 
     def test_bounded_and_monotone(self):
-        vals = [sl.norm_const(n) for n in range(2, 1025)]
+        vals = [float(sl.density(n, 0.0)) for n in range(2, 1025)]
         assert all(v < INV_SQRT_2PI for v in vals)
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            sl.norm_const(1)
+            sl.density(1, 0.0)
 
 
 class TestDensity:
     def test_n3_constant(self):
-        assert sl.density(law(3), 0.5) == pytest.approx(1.0 / (2.0 * math.sqrt(3)), abs=1e-15)
+        assert sl.density(3, 0.5) == pytest.approx(1.0 / (2.0 * math.sqrt(3)), abs=1e-15)
 
     def test_center_equals_norm_const(self):
-        assert sl.density(law(100), 0.0) == sl.norm_const(100)
+        assert sl.density(100, 0.0) == np.exp(sl.log_norm_const(100))
 
     def test_boundary_zero(self):
-        assert sl.density(law(5), math.sqrt(5)) == 0.0
-        assert sl.density(law(5), -10.0) == 0.0
+        assert sl.density(5, math.sqrt(5)) == 0.0
+        assert sl.density(5, -10.0) == 0.0
 
     @given(st.floats(min_value=-40.0, max_value=40.0, allow_nan=False))
     def test_even(self, x):
-        l64 = law(64)
-        assert sl.density(l64, x) == sl.density(l64, -x)
+        assert sl.density(64, x) == sl.density(64, -x)
 
     def test_no_underflow_near_boundary(self):
-        l1024 = law(1024)
         x = math.sqrt(1024) * (1 - 1e-12)
-        val = sl.density(l1024, x)
+        val = sl.density(1024, x)
         assert 0.0 <= val < 1.0
 
     @pytest.mark.parametrize("n", [3, 4, 7, 64, 501, 1024])
     def test_normalization_spot(self, n):
-        l = law(n)
         root = math.sqrt(n)
-        total, _ = quad(lambda x: sl.density(l, x), -root, root,
+        total, _ = quad(lambda x: sl.density(n, x), -root, root,
                         epsabs=1e-13, limit=200, points=[0.0])
         assert abs(total - 1.0) < 1e-10
 
     def test_normalization_full_range(self):
         # every dimension in 3..1024 integrates to 1 within 1e-10
         for n in range(3, 1025):
-            l = law(n)
             root = math.sqrt(n)
-            half, _ = quad(lambda x: sl.density(l, x), 0.0, root,
+            half, _ = quad(lambda x: sl.density(n, x), 0.0, root,
                            epsabs=1e-13, limit=200)
             assert abs(2.0 * half - 1.0) < 1e-10, n
 
@@ -77,55 +71,50 @@ class TestDensity:
         # (1 - x^2/n)_+^((n-3)/2) <= exp(-x^2/8) holds for n >= 4
         # (at n = 3 the left side is 1 on the whole support)
         for n in (4, 8, 64, 1024):
-            l = law(n)
             x = np.linspace(-math.sqrt(n), math.sqrt(n), 4097)
-            p = sl.density_grid(l, x) / sl.norm_const(n)
+            p = sl.density(n, x) / sl.density(n, 0.0)
             assert np.all(p <= np.exp(-np.square(x) / 8.0) + 1e-15), n
 
 
 class TestCdf:
     def test_half_at_zero(self):
-        assert sl.cdf(law(17), 0.0) == 0.5
+        assert sl.cdf(17, 0.0) == 0.5
 
     def test_n3_uniform_oracle(self):
-        assert sl.cdf(law(3), 1.0) == pytest.approx((1 + 1 / math.sqrt(3)) / 2, abs=1e-12)
+        assert sl.cdf(3, 1.0) == pytest.approx((1 + 1 / math.sqrt(3)) / 2, abs=1e-12)
 
     def test_saturation(self):
-        assert sl.cdf(law(50), 10.0) == 1.0
-        assert sl.cdf(law(50), -10.0) == 0.0
+        assert sl.cdf(50, 10.0) == 1.0
+        assert sl.cdf(50, -10.0) == 0.0
 
     def test_n2_arcsine_oracle(self):
         # n = 2: cdf(x) = 1/2 + asin(x / sqrt 2) / pi
-        l2 = law(2)
         for x in (-1.2, -0.3, 0.7, 1.0):
             expect = 0.5 + math.asin(x / math.sqrt(2)) / math.pi
-            assert sl.cdf(l2, x) == pytest.approx(expect, abs=1e-10)
+            assert sl.cdf(2, x) == pytest.approx(expect, abs=1e-10)
 
     def test_symmetry_exact(self):
-        l = law(9)
         for x in np.linspace(0.1, 2.9, 13):
-            assert sl.cdf(l, x) + sl.cdf(l, -x) == 1.0
+            assert sl.cdf(9, x) + sl.cdf(9, -x) == 1.0
 
     def test_nondecreasing(self):
-        l = law(6)
         xs = np.linspace(-3.0, 3.0, 101)
-        vals = [sl.cdf(l, x) for x in xs]
+        vals = [sl.cdf(6, x) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_closed_form_matches_quadrature(self):
         for n in (4, 16, 64, 256):
-            l = law(n)
             for x in (-2.5, -0.7, 0.3, 1.9):
-                mass, _ = quad(lambda y: sl.density(l, y), 0.0, abs(x),
+                mass, _ = quad(lambda y: sl.density(n, y), 0.0, abs(x),
                                epsabs=1e-14, limit=200)
-                assert sl.cdf(l, x) == pytest.approx(0.5 + math.copysign(mass, x),
+                assert sl.cdf(n, x) == pytest.approx(0.5 + math.copysign(mass, x),
                                                      abs=1e-12), (n, x)
 
     def test_interpolant_matches_closed_form(self):
         for n in (2, 3, 64, 600, 4096):
             table = sl.cdf_table(n)
             xs = np.linspace(-math.sqrt(n) * 0.999, math.sqrt(n) * 0.999, 41)
-            exact = np.array([sl.cdf(law(n), float(x)) for x in xs])
+            exact = np.array([sl.cdf(n, float(x)) for x in xs])
             assert np.abs(table(xs) - exact).max() < 1e-7, n
 
 
@@ -155,56 +144,53 @@ class TestSampleDirection:
 
 class TestCharfnJn:
     def test_at_zero(self):
-        assert sl.charfn_Jn_grid(law(10), [0.0])[0] == pytest.approx(1.0, abs=1e-14)
+        assert sl.charfn_Jn_grid(10, [0.0])[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_n3_closed_form(self):
         # J_3(t) = sin(t)/t for the uniform coordinate on [-1, 1]
         t = np.array([0.5, 2.0, 7.3])
-        assert np.abs(sl.charfn_Jn_grid(law(3), t) - np.sin(t) / t).max() <= 1e-10
+        assert np.abs(sl.charfn_Jn_grid(3, t) - np.sin(t) / t).max() <= 1e-10
 
     def test_n2_bessel_oracle(self):
         t = np.array([0.7, 5.0, 23.0])
-        assert np.abs(sl.charfn_Jn_grid(law(2), t) - j0(t)).max() <= 1e-10
+        assert np.abs(sl.charfn_Jn_grid(2, t) - j0(t)).max() <= 1e-10
 
     def test_even_and_bounded(self):
-        l = law(12)
         t = np.array([0.3, 1.7, 9.2])
-        assert np.array_equal(sl.charfn_Jn_grid(l, t), sl.charfn_Jn_grid(l, -t))
+        assert np.array_equal(sl.charfn_Jn_grid(12, t), sl.charfn_Jn_grid(12, -t))
         t = np.linspace(0.0, 40.0, 300)
-        assert np.abs(sl.charfn_Jn_grid(law(12), t)).max() <= 1.0 + 1e-12
+        assert np.abs(sl.charfn_Jn_grid(12, t)).max() <= 1.0 + 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1),
            s_max=st.floats(0.1, 200.0))
     def test_bounded_property(self, n, seed, s_max):
         s = np.random.default_rng(seed).uniform(-s_max, s_max, 64)
-        assert np.abs(sl.charfn_Jn_grid(law(n), s)).max() <= 1.0 + 1e-12
+        assert np.abs(sl.charfn_Jn_grid(n, s)).max() <= 1.0 + 1e-12
 
     def test_gaussian_limit_at_unit_scale(self):
         rep = sl.gap_report(n_grid=(64,), reference_n=64)
         k64 = next(c.extra["scaled_gap"] / 64 for c in rep.checks
                    if c.name == "cf_gap_rate" and c.n == 64)
-        val = sl.charfn_Jn_grid(law(64), [math.sqrt(64) * 1.0])[0]
+        val = sl.charfn_Jn_grid(64, [math.sqrt(64) * 1.0])[0]
         assert abs(val - math.exp(-0.5)) <= k64 + 1e-12
 
     def test_fourier_consistency_with_density(self):
         # J_n(t sqrt n) equals the cosine transform of the density
         for n in (3, 8, 64):
-            l = law(n)
             root = math.sqrt(n)
             x = np.linspace(-root, root, 2 ** 18 + 1)
-            dens = sl.density_grid(l, x)
+            dens = sl.density(n, x)
             t = np.array([0.5, 3.0, 11.0, 20.0])
-            jn = sl.charfn_Jn_grid(l, t * root)
+            jn = sl.charfn_Jn_grid(n, t * root)
             for tt, val in zip(t, jn):
                 ft = np.trapezoid(np.cos(tt * x) * dens, x)
                 assert abs(val - ft) < 1e-6, (n, tt)
 
     def test_table_matches_direct(self):
-        l = law(48)
         table = sl.jn_table(48)
         s = np.linspace(0.0, 50.0, 777)
-        assert np.abs(table(s) - sl.charfn_Jn_grid(l, s)).max() < 1e-9
+        assert np.abs(table(s) - sl.charfn_Jn_grid(48, s)).max() < 1e-9
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_bulk_evaluator_small_n(self, n):
@@ -213,7 +199,7 @@ class TestCharfnJn:
         s = np.linspace(0.0, 60.0, 301)
         bulk = sl.jn_table(n)(s)
         assert bulk[0] == 1.0
-        assert np.abs(bulk - sl.charfn_Jn_grid(law(n), s)).max() < 1e-9
+        assert np.abs(bulk - sl.charfn_Jn_grid(n, s)).max() < 1e-9
 
 
 @pytest.fixture(scope="module")

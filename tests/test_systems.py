@@ -11,7 +11,7 @@ from typical_clt.sphere_law import Direction, sample_direction
 
 
 def spec_iid(base, n=16):
-    return sy.SystemSpec(kind="iid", n=n, base=base)
+    return sy.SystemSpec(kind=base, n=n)
 
 
 class TestSpecValidation:
@@ -23,26 +23,6 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             sy.SystemSpec(kind="levy_flight", n=8)
 
-    def test_unknown_base(self):
-        with pytest.raises(ConfigurationError):
-            sy.SystemSpec(kind="iid", n=8, base="cauchy")
-
-    def test_walsh_duplicate_characters(self):
-        with pytest.raises(ConfigurationError):
-            sy.SystemSpec(kind="walsh", n=3, characters=((1,), (2,), (1,)))
-
-    def test_walsh_empty_character(self):
-        with pytest.raises(ConfigurationError):
-            sy.SystemSpec(kind="walsh", n=2, characters=((), (1,)))
-
-    def test_eigenvalues_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            sy.SystemSpec(kind="gaussian_anisotropic", n=3, eigenvalues=(1.0, -1.0, 2.0))
-
-    def test_eigenvalue_count(self):
-        with pytest.raises(ConfigurationError):
-            sy.SystemSpec(kind="gaussian_anisotropic", n=3, eigenvalues=(1.0, 2.0))
-
     def test_default_walsh_characters_graded_lex(self):
         chars = sy.default_walsh_characters(9)
         assert chars == ((1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4))
@@ -52,6 +32,52 @@ class TestSpecValidation:
         assert sy.SystemSpec(kind="walsh", n=7).is_fixed_norm
         assert spec_iid("rademacher").is_fixed_norm
         assert not spec_iid("uniform").is_fixed_norm
+
+
+# Every name built_in_spec accepts (besides upper-case spellings), with
+# the kind and the n = 64 spec_id it gives.
+CATALOG_NAMES = {
+    "rademacher": ("rademacher", "rademacher-n64"),
+    "uniform": ("uniform", "uniform-n64"),
+    "exponential": ("exponential", "exponential-n64"),
+    "normal": ("normal", "normal-n64"),
+    "trigonometric": ("trigonometric", "trig-n64"),
+    "trig": ("trigonometric", "trig-n64"),
+    "walsh": ("walsh", "walsh-n64"),
+    "fixed_norm_rademacher": ("fixed_norm_rademacher", "fixed_norm-n64"),
+    "fixed_norm": ("fixed_norm_rademacher", "fixed_norm-n64"),
+    "gaussian_anisotropic": ("gaussian_anisotropic", "aniso-n64"),
+    "aniso": ("gaussian_anisotropic", "aniso-n64"),
+}
+
+
+class TestCatalogContract:
+    @pytest.mark.parametrize("name", [*CATALOG_NAMES, *(k.upper() for k in CATALOG_NAMES)])
+    def test_name_gives_kind_and_spec_id(self, name):
+        spec = sy.built_in_spec(name, 64)
+        assert (spec.kind, spec.spec_id) == CATALOG_NAMES[name.lower()]
+
+    def test_default_catalog_order(self):
+        assert [spec.spec_id for spec in sy.default_catalog(64)] == [
+            "rademacher-n64", "uniform-n64", "exponential-n64", "normal-n64",
+            "trig-n64", "walsh-n63", "fixed_norm-n64", "aniso-n64"]
+
+    @pytest.mark.parametrize("spec", sy.default_catalog(16), ids=lambda s: s.spec_id)
+    def test_mean_square_norm_is_n(self, spec):
+        # E|X|^2 = n: on every row of the fixed-norm kinds (exactly for the
+        # +-1-valued ones), by the covariance trace for the anisotropic
+        # Gaussian, and within 4 SE of the sample mean for the iid kinds
+        n = spec.n
+        if spec.kind == "gaussian_anisotropic":
+            for m in (n, 32, 64, 256, 1024):
+                assert abs(sum(sy.spiked_eigenvalues(m)) - m) <= 1e-12 * m
+            return
+        sq = np.square(sy.sample_vector(spec, 20_000, 5).matrix).sum(axis=1)
+        if spec.is_fixed_norm:
+            tol = 1e-12 * n if spec.kind == "trigonometric" else 0.0
+            assert np.abs(sq - n).max() <= tol
+        else:
+            assert abs(sq.mean() - n) <= 4.0 * sq.std(ddof=1) / math.sqrt(sq.size)
 
 
 class TestSampling:
@@ -229,11 +255,12 @@ class TestProject:
             assert np.array_equal(a, b)
 
     def test_walsh_large_cube_falls_back(self, monkeypatch):
-        spec = sy.SystemSpec(kind="walsh", n=2, characters=((1,), (2, 20)))
+        # 50 rows are fewer than the 64 rows of the n = 63 cube
+        spec = sy.SystemSpec(kind="walsh", n=63)
         monkeypatch.setattr(sy, "_walsh_projector", None)  # a lookup would fail
-        theta = sample_direction(2, 5)
-        a = sy.project(spec, theta, 1000, 3)
-        assert np.array_equal(a, matrix_path(spec, theta, 1000, 3))
+        theta = sample_direction(63, 5)
+        a = sy.project(spec, theta, 50, 3)
+        assert np.array_equal(a, matrix_path(spec, theta, 50, 3))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
