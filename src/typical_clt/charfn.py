@@ -27,7 +27,7 @@ from .quadrature import block_rows
 from .reports import BoundCheck, BoundCheckReport
 from .rng import make_rng, master_seed
 from .sphere_law import Direction, jn_table, sample_direction
-from .systems import SystemSpec, project, sample_vector
+from .systems import SystemSpec, project, squared_norms
 from .distributions import compress_atoms, mean_theta_distance
 
 DEFAULT_GRID_POINTS = 512
@@ -111,8 +111,7 @@ def charfn_typical(spec: SystemSpec, t_grid, radial_budget: int = 100_000,
     if radial_budget < 100:
         raise InsufficientDataError(
             f"radial budget must be >= 100, got {radial_budget}")
-    batch = sample_vector(spec, radial_budget, rng)
-    norms = np.linalg.norm(batch.matrix, axis=1)
+    norms = np.sqrt(squared_norms(spec, radial_budget, rng))
     radii, weights = compress_atoms(np.sort(norms), np.full(norms.size, 1.0 / norms.size),
                                     CF_COMPRESS_ATOMS)
     vals = np.empty(t.shape[0], dtype=complex)

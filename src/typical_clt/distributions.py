@@ -14,10 +14,24 @@ grid with local refinement.
 
 Mixtures with many atoms are evaluated through an equal-weight quantile
 compression plus a dense lookup table; small mixtures are evaluated
-exactly, which is what the distance-oracle checks exercise.  The sphere
-kernel is a PCHIP table of the closed-form CDF, within 1e-7 of it (the
-largest gap seen up to n = 4096 is 1.4e-9), far below every Monte Carlo
-noise floor in this package.
+exactly, which is what the distance-oracle checks exercise.  The table
+keeps the fewest compressed atoms, up to a ceiling of COMPRESS_ATOMS,
+whose certified bound (`MixtureCDF.table_bound`) on its distance from
+the direct sum over all atoms is at most TABLE_TOL.  Each compressed
+atom is the weighted mean radius of its bin, so the first-order Taylor
+term in r cancels and
+
+    sup_x |sum_i w_i K(x/r_i) - sum_b W_b K(x/rbar_b)|
+        <= C_K / 2 * sum_b sum_(i in b) w_i (r_i - rbar_b)^2 / min_(i in b) r_i^2,
+
+with C_K = sup_z |2 z k(z) + z^2 k'(z)| = sup_z |(z^2 k)'(z)| for the
+kernel density k; the linear interpolation of the table adds
+(dx)^2/8 sup|k'| / min r^2.  The sphere kernel of n < 5 has an
+unbounded k', so its tables keep the ceiling and an infinite bound.
+The sphere kernel is a PCHIP table of the closed-form CDF, within 1e-7
+of it (the largest gap seen up to n = 4096 is 1.4e-9), far below every
+Monte Carlo noise floor in this package; the certified bound is taken
+against the direct sum with that same kernel.
 """
 
 from __future__ import annotations
@@ -32,15 +46,16 @@ from scipy.special import ndtr
 from .errors import ConfigurationError, DomainError, InsufficientDataError
 from .quadrature import block_rows, kernel_sum
 from .rng import make_rng, master_seed
-from .sphere_law import cdf_table, sample_direction
-from .systems import SystemSpec, project, sample_vector
+from .sphere_law import cdf_table, log_norm_const, sample_direction
+from .systems import SystemSpec, project, squared_norms
 
 # E sup_x |F_N(x) - F(x)| ~ sqrt(pi/2) ln(2) / sqrt(N) for an N-sample
 # empirical CDF of a continuous law.
 NOISE_FLOOR_COEF = math.sqrt(math.pi / 2.0) * math.log(2.0)
 
 EXACT_PRODUCT_LIMIT = 20_000_000
-COMPRESS_ATOMS = 2048
+COMPRESS_ATOMS = 2048  # ceiling of a lookup table's atom count
+TABLE_TOL = 1e-6       # certified sup distance of a table from its mixture
 LUT_POINTS = 32768
 GAUSSIAN_SPAN_FACTOR = 12.0
 # mixture-vs-mixture sup: grid size and the number of grid maxima refined
@@ -117,6 +132,17 @@ class StepCDF:
 # Mixture CDF
 # ---------------------------------------------------------------------------
 
+def _bin_starts(weights: np.ndarray, max_atoms: int) -> np.ndarray:
+    """First index of each equal-weight bin of atoms in radius order."""
+    if weights.size <= max_atoms:
+        return np.arange(weights.size)
+    cum = np.cumsum(weights)
+    edges = np.searchsorted(cum, np.linspace(0.0, cum[-1], max_atoms + 1)[1:-1],
+                            side="left")
+    cuts = np.unique(edges + 1)
+    return np.concatenate(([0], cuts[cuts < weights.size]))
+
+
 def compress_atoms(radii: np.ndarray, weights: np.ndarray, max_atoms: int):
     """Equal-weight quantile binning of radial atoms."""
     if radii.size <= max_atoms:
@@ -124,18 +150,55 @@ def compress_atoms(radii: np.ndarray, weights: np.ndarray, max_atoms: int):
     order = np.argsort(radii)
     r = radii[order]
     w = weights[order]
-    cum = np.cumsum(w)
-    edges = np.searchsorted(cum, np.linspace(0.0, cum[-1], max_atoms + 1)[1:-1],
-                            side="left")
-    groups = np.split(np.arange(r.size), np.unique(edges + 1))
+    bounds = np.append(_bin_starts(w, max_atoms), r.size)
     out_r, out_w = [], []
-    for g in groups:
-        if g.size == 0:
-            continue
-        wg = w[g]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        wg = w[lo:hi]
         out_w.append(wg.sum())
-        out_r.append(np.dot(r[g], wg) / wg.sum())
+        out_r.append(np.dot(r[lo:hi], wg) / wg.sum())
     return np.asarray(out_r), np.asarray(out_w)
+
+
+def _kernel_constants(kernel: str, n: int | None) -> tuple[float, float]:
+    """(C_K, sup|k'|) of a kernel with density k, C_K = sup_z |(z^2 k)'(z)|.
+
+    r^2 |d^2/dr^2 K(x/r)| <= C_K bounds the compression error and
+    sup|k'| the interpolation error of a mixture's table.  For the sphere
+    kernel, (z^2 k)'(z) = c sqrt(n) g(u) with u = z^2/n and
+    g(u) = sqrt(u) (1-u)^((n-5)/2) (2 - (n-1) u), whose interior critical
+    points solve m(m-1) u^2 - (5m-6) u + 2 = 0, m = n - 1; at n = 5 the
+    sup is the edge value |g(1)|.  For n < 5, k' is unbounded.
+    """
+    if kernel == "gaussian":
+        z2 = 0.5 * (5.0 - math.sqrt(17.0))
+        pdf = 1.0 / math.sqrt(2.0 * math.pi)
+        return (pdf * math.sqrt(z2) * (2.0 - z2) * math.exp(-0.5 * z2),
+                pdf * math.exp(-0.5))
+    if n < 5:
+        return math.inf, math.inf
+    c = math.exp(log_norm_const(n))
+    a, m = 0.5 * (n - 5), n - 1
+    root = math.sqrt((5 * m - 6) ** 2 - 8 * m * (m - 1))
+    crit = [(5 * m - 6 + s * root) / (2 * m * (m - 1)) for s in (-1.0, 1.0)] + [1.0]
+    g = max(abs(math.sqrt(u) * (1.0 - u) ** a * (2.0 - m * u)) for u in crit if u <= 1.0)
+    # |k'(z)| = c (n-3)/n z (1-u)^((n-5)/2), largest at u = 1/(n-4)
+    u = 1.0 / (n - 4)
+    return c * math.sqrt(n) * g, c * (n - 3) / n * math.sqrt(n * u) * (1.0 - u) ** a
+
+
+def _compression_bound(r: np.ndarray, w: np.ndarray, starts: np.ndarray,
+                      c_k: float) -> float:
+    """Bound on the sup gap of the mixture (r, w) and its binned means.
+
+    r sorted ascending; bin b holds the atoms from starts[b] up to the
+    next start.  The first-order Taylor term cancels because each bin's
+    atom sits at its weighted mean radius.
+    """
+    mass = np.add.reduceat(w, starts)
+    mean = np.add.reduceat(w * r, starts) / mass
+    dev = r - np.repeat(mean, np.diff(starts, append=r.size))
+    spread = np.add.reduceat(w * np.square(dev), starts)
+    return 0.5 * c_k * float(np.sum(spread / np.square(r[starts])))
 
 
 @dataclass
@@ -146,6 +209,9 @@ class MixtureCDF:
     weights: np.ndarray
     kernel: str                 # "gaussian" or "sphere"
     n: int | None = None        # sphere kernel dimension
+    # set by the lookup-table build: its atom count and certified bound
+    table_atoms: int | None = field(default=None, init=False, compare=False)
+    table_bound: float | None = field(default=None, init=False, compare=False)
     _lut: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -190,9 +256,39 @@ class MixtureCDF:
         return kernel_sum(lambda xs, r: self._kernel_cdf(xs / r), x, radii, weights,
                           chunk=block_rows(radii.size))
 
+    def _certified_count(self) -> tuple[int, float]:
+        """The fewest atoms whose table bound is <= TABLE_TOL, and that bound.
+
+        Bisects on [1, COMPRESS_ATOMS]; a mixture that no count certifies
+        keeps the ceiling and reports its (larger or infinite) bound.
+        """
+        c_k, dk = _kernel_constants(self.kernel, self.n)
+        cap = min(self.radii.size, COMPRESS_ATOMS)
+        if math.isinf(c_k):
+            return cap, math.inf
+        order = np.argsort(self.radii)  # the order compress_atoms bins in
+        r, w = self.radii[order], self.weights[order]
+        step = 2.0 * self.span / (LUT_POINTS - 1)
+        interp = step * step / 8.0 * dk / r[0] ** 2
+
+        def bound(count: int) -> float:
+            return _compression_bound(r, w, _bin_starts(w, count), c_k) + interp
+
+        lo, hi = 1, cap
+        if bound(hi) <= TABLE_TOL:
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if bound(mid) <= TABLE_TOL:
+                    hi = mid
+                else:
+                    lo = mid + 1
+        return hi, bound(hi)
+
     def _ensure_lut(self):
         if self._lut is None:
-            r, w = compress_atoms(self.radii, self.weights, COMPRESS_ATOMS)
+            count, self.table_bound = self._certified_count()
+            r, w = compress_atoms(self.radii, self.weights, count)
+            self.table_atoms = r.size
             w = w / w.sum()
             span = self.span
             grid = np.linspace(-span, span, LUT_POINTS)
@@ -234,8 +330,7 @@ def _radial_atoms(spec: SystemSpec, radial_budget: int, rng):
     """
     if spec.is_fixed_norm:
         return np.array([1.0]), np.array([1.0])
-    batch = sample_vector(spec, radial_budget, rng)
-    r = np.linalg.norm(batch.matrix, axis=1) / math.sqrt(spec.n)
+    r = np.sqrt(squared_norms(spec, radial_budget, rng)) / math.sqrt(spec.n)
     return r, np.full(r.size, 1.0 / r.size)
 
 
@@ -275,8 +370,10 @@ def _ks_step_mixture(step: StepCDF, mix: MixtureCDF) -> DistanceReport:
     m = mix.cdf(pts)  # continuous: one value serves both one-sided limits
     d = np.maximum(np.abs(step.cdf(pts) - m), np.abs(step.cdf_left(pts) - m))
     i = int(np.argmax(d))
-    return DistanceReport(rho=float(d[i]), location=float(pts[i]),
-                          metadata={"points": pts.size})
+    metadata = {"points": pts.size}
+    if mix.tabulates(pts.size):
+        metadata.update(table_atoms=mix.table_atoms, table_bound=mix.table_bound)
+    return DistanceReport(rho=float(d[i]), location=float(pts[i]), metadata=metadata)
 
 
 def _ks_mixture_mixture(a: MixtureCDF, b: MixtureCDF) -> DistanceReport:

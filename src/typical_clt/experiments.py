@@ -32,7 +32,7 @@ from . import sphere_law as sl
 from .errors import ConfigurationError, FitUnavailableError
 from .reports import BoundCheck, BoundCheckReport, write_csv
 from .rng import make_rng, master_seed
-from .systems import SystemSpec, built_in_spec, default_catalog, sample_vector
+from .systems import SystemSpec, built_in_spec, default_catalog, squared_norms
 
 DEFAULT_THETA_BUDGET = 64
 DEFAULT_PER_THETA = 100_000
@@ -264,11 +264,9 @@ def _functional_checks(spec: SystemSpec, scale: float, seed: int) -> BoundCheckR
             spec_id=spec.spec_id, n=n, budget=_scaled(500_000, scale),
         ))
 
-    gen = make_rng(seed, "norm_p", spec.spec_id)
-    batch = sample_vector(spec, budget, gen)
     # squared norms are exact for +-1-valued systems; a relative epsilon in
     # the slack absorbs the remaining 1-ulp power round trips at equality
-    sq = np.square(batch.matrix).sum(axis=1)
+    sq = squared_norms(spec, budget, make_rng(seed, "norm_p", spec.spec_id))
     for p in (2.0, 3.0):
         mp = fn.moment_Mp(spec, p, rng=make_rng(seed, "Mp", spec.spec_id, int(p)))
         vals = sq ** (p / 2.0)

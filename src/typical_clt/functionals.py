@@ -27,7 +27,7 @@ from . import reports
 from .errors import DomainError, InsufficientDataError, NumericKernelError
 from .reports import BoundCheck, BoundCheckReport
 from .rng import as_rng, make_rng
-from .systems import SystemSpec, sample_vector, spiked_eigenvalues
+from .systems import SystemSpec, sample_vector, spiked_eigenvalues, squared_norms
 
 BOOTSTRAP_REPS = 200
 PAIR_BLOCK = 1 << 16
@@ -210,8 +210,7 @@ def sigma_2p(spec: SystemSpec, p: float, budget: int = 20000, rng=0) -> Estimate
     if budget < 100:
         raise InsufficientDataError(f"need a budget of at least 100, got {budget}")
     gen = as_rng(rng, "sigma")
-    batch = sample_vector(spec, budget, gen)
-    dev = _abs_pow(np.square(batch.matrix).sum(axis=1) / spec.n - 1.0, p)
+    dev = _abs_pow(squared_norms(spec, budget, gen) / spec.n - 1.0, p)
     root_n = math.sqrt(spec.n)
 
     def stat(sample):
@@ -235,9 +234,8 @@ def norm_variance_check(spec: SystemSpec, budget: int = 20000, rng=0) -> BoundCh
     quantity is zero up to float epsilon, and the chain must hold with
     equality rather than fail on rounding noise.
     """
-    batch = sample_vector(spec, budget, as_rng(rng, "normvar"))
     # squared norms are exact for the +-1-valued systems; take sqrt after
-    sq = np.square(batch.matrix).sum(axis=1)
+    sq = squared_norms(spec, budget, as_rng(rng, "normvar"))
     n = spec.n
     root_n = math.sqrt(n)
 
@@ -447,9 +445,7 @@ def compute_functionals(spec: SystemSpec, p_values=(2.0, 3.0), budget: int = 200
     for p in (1.0, 1.5, 2.0):
         report.norm_moments[p] = sigma_2p(spec, p, budget=budget,
                                           rng=make_rng(seed, "s2p", int(2 * p)))
-    gen = make_rng(seed, "varnorm")
-    batch = sample_vector(spec, budget, gen)
-    norms = np.linalg.norm(batch.matrix, axis=1)
+    norms = np.sqrt(squared_norms(spec, budget, make_rng(seed, "varnorm")))
     boot = make_rng(seed, "varnorm_boot")
     report.var_norm = Estimate(
         value=float(norms.var(ddof=1)),

@@ -10,8 +10,10 @@ derived seeds, so the assembled matrix never depends on execution
 order.
 
 `project` returns the weighted sums <X, theta> from the same draws as
-`weighted_sum(sample_vector(...))`, without the N x n matrix where the
-kind allows it:
+`weighted_sum(sample_vector(...))`, and `squared_norms` the |X|^2 of
+those draws.  Neither forms the whole N x n matrix for any kind: rows
+are drawn and reduced a block of at most STREAM_ENTRIES / n rows at a
+time (see `_reduce_blocks`), unless the kind has a matrix-free form:
 
 - trigonometric: at the drawn frequencies w, <X, theta> = Re(z P(z))
   with z = e^(iw) and P(z) = sum_k sqrt2 (theta_(2k-1) - i theta_(2k))
@@ -22,8 +24,11 @@ kind allows it:
   when 2^m <= count.  It is bit for bit the matrix path, except on rows
   that BLAS evaluates in a 2-row remainder block of its matvec kernel
   (which ones depends on the count and the BLAS thread count), where
-  the matrix path itself rounds differently;
-- every other kind (and walsh with a larger cube): the matrix path.
+  the matrix path itself rounds differently.
+
+Blocks hold a multiple of 8 rows, so with one BLAS thread the blocked
+matvec puts its remainder rows where the one-shot matvec does and is
+bit for bit the matrix path; squared norms are bit for bit in any case.
 """
 
 from __future__ import annotations
@@ -50,6 +55,12 @@ SHORT_NAMES = {"trigonometric": "trig", "fixed_norm_rademacher": "fixed_norm",
 KIND_OF_SHORT_NAME = {short: kind for kind, short in SHORT_NAMES.items()}
 
 SHARD_SIZE = 1 << 16
+# Entries of one streamed block of rows, 4 MB of float64.  Blocks of
+# quadrature.block_rows' 4e6 entries (32 MB) sit just under glibc's
+# 32 MiB mmap ceiling: freeing one raises the dynamic mmap threshold to
+# its size, and the heap then keeps later blocks (on a 2-vCPU Linux VM,
+# verify --suite all peaked at 557 MB with them and 477 MB with these).
+STREAM_ENTRIES = 500_000
 
 
 @lru_cache(maxsize=None)
@@ -223,12 +234,36 @@ def _walsh_projector(theta: Direction):
     return draw
 
 
+def _reduce_blocks(spec: SystemSpec, count: int, rng, reduce) -> np.ndarray:
+    """reduce(batch) over the rows of sample_vector(spec, count, rng), by blocks.
+
+    Draws the same rows as `sample_vector`, STREAM_ENTRIES / n of them
+    at a time rounded down to a multiple of 8, and reduces each block to
+    one value per row before drawing the next.
+    """
+    step = max(8, STREAM_ENTRIES // spec.n // 8 * 8)
+
+    def draw(rows: int, gen: np.random.Generator) -> np.ndarray:
+        out = np.empty(rows)
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            out[lo:hi] = reduce(sample_vector(spec, hi - lo, gen))
+        return out
+
+    return _in_shards(draw, count, rng)
+
+
+def squared_norms(spec: SystemSpec, count: int, rng) -> np.ndarray:
+    """|X|^2 of each row of sample_vector(spec, count, rng), bit for bit."""
+    return _reduce_blocks(spec, count, rng,
+                          lambda batch: np.add.reduce(batch.matrix * batch.matrix, axis=1))
+
+
 def project(spec: SystemSpec, theta: Direction, count: int, rng) -> np.ndarray:
     """The `count` values of <X, theta>, from the draws of `sample_vector`.
 
-    Equals weighted_sum(sample_vector(spec, count, rng), theta): bit for
-    bit on the fallback path, up to rounding on the trigonometric and
-    walsh ones (see the module docstring).
+    Equals weighted_sum(sample_vector(spec, count, rng), theta) up to
+    rounding; see the module docstring for when it is bit for bit.
     """
     if spec.n != theta.n:
         raise DomainError(
@@ -238,7 +273,7 @@ def project(spec: SystemSpec, theta: Direction, count: int, rng) -> np.ndarray:
     elif spec.kind == "walsh" and (1 << walsh_bits(spec.n)) <= count:
         draw = _walsh_projector(theta)
     else:
-        return weighted_sum(sample_vector(spec, count, rng), theta)
+        return _reduce_blocks(spec, count, rng, lambda batch: weighted_sum(batch, theta))
     return _in_shards(draw, count, rng)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,64 @@ class TestMixtureCDF:
         assert xs.size * radii.size > di.EXACT_PRODUCT_LIMIT
         direct = np.concatenate([mix.cdf(part) for part in np.array_split(xs, 5)])
         assert np.abs(direct - mix.cdf(xs)).max() < 1e-6
+
+
+class TestTableBound:
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), atoms=st.integers(2000, 20_000),
+           n=st.sampled_from([None, 5, 8, 16, 64, 256]))
+    def test_bound_covers_table_gap(self, seed, atoms, n):
+        # radii like |X|/sqrt(n)'s: root mean squares of n Gaussian coordinates
+        # (of 16 for the Gaussian kernel); the gap of the table from the
+        # full-atom direct sum is read at midpoints of the table's cells,
+        # where linear interpolation errs most
+        rng = np.random.default_rng(seed)
+        dim = 16 if n is None else n
+        mix = di.MixtureCDF(radii=np.sqrt(rng.chisquare(dim, atoms) / dim),
+                            weights=np.full(atoms, 1.0 / atoms),
+                            kernel="gaussian" if n is None else "sphere", n=n)
+        grid, lut = mix._ensure_lut()
+        mid = 0.5 * (grid[1:] + grid[:-1])[::64]
+        gap = np.abs(np.interp(mid, grid, lut) - mix._direct(mid, mix.radii, mix.weights))
+        assert gap.max() <= mix.table_bound
+        # a count below the ceiling is certified
+        assert mix.table_atoms == di.COMPRESS_ATOMS or mix.table_bound <= di.TABLE_TOL
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_unbounded_kernel_derivative_keeps_ceiling(self, n):
+        rng = np.random.default_rng(1)
+        mix = di.MixtureCDF(radii=rng.uniform(0.5, 1.5, 5000),
+                            weights=np.full(5000, 1.0 / 5000), kernel="sphere", n=n)
+        assert mix._certified_count() == (di.COMPRESS_ATOMS, math.inf)
+
+    @pytest.mark.parametrize("n", [None, 5, 6, 8, 16, 64, 256])
+    def test_kernel_constants_match_dense_grid(self, n):
+        # C_K = sup |(z^2 k)'(z)| and sup |k'|, by finite differences
+        from typical_clt.sphere_law import density, normal_pdf
+        c_k, dk = di._kernel_constants("gaussian" if n is None else "sphere", n)
+        z = np.linspace(-1.0, 1.0, 400_001) * (12.0 if n is None else math.sqrt(n))
+        k = normal_pdf(z) if n is None else density(n, z)
+        assert c_k == pytest.approx(np.abs(np.gradient(z * z * k, z)).max(), rel=1e-4)
+        assert dk == pytest.approx(np.abs(np.gradient(k, z)).max(), rel=1e-4)
+
+    def test_distance_reports_table(self):
+        mix = di.typical_cdf(spec_iid("uniform", 64), radial_budget=20_000, rng=3)
+        small = di.StepCDF.from_samples(np.random.default_rng(4).standard_normal(500))
+        assert "table_atoms" not in di.kolmogorov_distance(small, mix).metadata
+        big = di.StepCDF.from_samples(np.random.default_rng(4).standard_normal(2000))
+        meta = di.kolmogorov_distance(big, mix).metadata
+        assert meta["table_atoms"] == mix.table_atoms < di.COMPRESS_ATOMS
+        assert meta["table_bound"] == mix.table_bound <= di.TABLE_TOL
+
+    def test_radial_atoms_stream_rows(self):
+        # a whole 100000 x 256 matrix and its square would take 410 MB
+        tracemalloc.start()
+        try:
+            di.typical_cdf(spec_iid("uniform", 256), radial_budget=100_000, rng=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestTypicalCDF:

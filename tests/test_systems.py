@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,18 @@ class TestSampling:
             sy.sample_vector(spec_iid("normal"), 0, 1)
 
 
+class TestSquaredNorms:
+    @pytest.mark.parametrize("spec", sy.default_catalog(64), ids=lambda s: s.spec_id)
+    def test_bit_identical_to_matrix(self, spec):
+        # 70001 rows from a Generator and SHARD_SIZE + 3 from a seed both
+        # span many blocks
+        for count, rng in ((70_001, lambda: np.random.default_rng(4)),
+                           (sy.SHARD_SIZE + 3, lambda: 11)):
+            a = sy.squared_norms(spec, count, rng())
+            b = np.square(sy.sample_vector(spec, count, rng()).matrix).sum(axis=1)
+            assert np.array_equal(a, b)
+
+
 class TestRngRule:
     def test_int_seed_derives_child_stream(self):
         a = as_rng(7, "key", 3).integers(1 << 30, size=4)
@@ -253,6 +266,31 @@ class TestProject:
             assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + np.abs(b)))
         else:
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("spec", [
+        spec_iid("uniform", 256),
+        spec_iid("exponential", 1024),
+        sy.SystemSpec(kind="gaussian_anisotropic", n=64),
+        sy.SystemSpec(kind="walsh", n=4095),  # 1957 rows, fewer than the cube's
+    ], ids=lambda s: s.spec_id)
+    def test_blocks_match_matrix_path(self, spec):
+        count = 2 * (sy.STREAM_ENTRIES // spec.n // 8 * 8) + 5  # three blocks
+        theta = sample_direction(spec.n, 5)
+        a = sy.project(spec, theta, count, make_rng(9, "batch"))
+        b = matrix_path(spec, theta, count, make_rng(9, "batch"))
+        assert np.all(np.abs(a - b) <= 1e-15 * (1.0 + np.abs(b)))
+
+    def test_streams_rows(self):
+        # the matrix path forms the 100000 x 256 matrix, 205 MB
+        spec = spec_iid("uniform", 256)
+        theta = sample_direction(256, 5)
+        tracemalloc.start()
+        try:
+            sy.project(spec, theta, 100_000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_walsh_large_cube_falls_back(self, monkeypatch):
         # 50 rows are fewer than the 64 rows of the n = 63 cube
