@@ -28,7 +28,7 @@ from .reports import BoundCheck, BoundCheckReport
 from .rng import make_rng, master_seed
 from .sphere_law import Direction, jn_table, sample_direction
 from .systems import SystemSpec, project, squared_norms
-from .distributions import compress_atoms, mean_theta_distance
+from .distributions import compress_atoms, equal_mass_starts, mean_theta_distance
 
 DEFAULT_GRID_POINTS = 512
 GRID_T_MIN = 1e-3
@@ -112,8 +112,9 @@ def charfn_typical(spec: SystemSpec, t_grid, radial_budget: int = 100_000,
         raise InsufficientDataError(
             f"radial budget must be >= 100, got {radial_budget}")
     norms = np.sqrt(squared_norms(spec, radial_budget, rng))
-    radii, weights = compress_atoms(np.sort(norms), np.full(norms.size, 1.0 / norms.size),
-                                    CF_COMPRESS_ATOMS)
+    weights = np.full(norms.size, 1.0 / norms.size)
+    radii, weights = compress_atoms(np.sort(norms), weights,
+                                    equal_mass_starts(weights, CF_COMPRESS_ATOMS))
     vals = np.empty(t.shape[0], dtype=complex)
     ses = np.empty(t.shape[0])
     chunk = block_rows(radii.size)

@@ -12,14 +12,16 @@ inputs (the sup is attained at a jump of the step CDF, where both of its
 one-sided limits are checked); mixture-vs-mixture distances use a fixed
 grid with local refinement.
 
-Mixtures with many atoms are evaluated through an equal-weight quantile
-compression plus a dense lookup table; small mixtures are evaluated
-exactly, which is what the distance-oracle checks exercise.  The table
-keeps the fewest compressed atoms, up to a ceiling of COMPRESS_ATOMS,
-whose certified bound (`MixtureCDF.table_bound`) on its distance from
-the direct sum over all atoms is at most TABLE_TOL.  Each compressed
-atom is the weighted mean radius of its bin, so the first-order Taylor
-term in r cancels and
+Mixtures with many atoms are evaluated through a compression of the
+atoms into equal-width radius cells plus a dense lookup table; small
+mixtures are evaluated exactly, which is what the distance-oracle checks
+exercise.  The table keeps a cell count, up to a ceiling of
+COMPRESS_ATOMS, whose certified bound (`MixtureCDF.table_bound`) on its
+distance from the direct sum over all atoms is at most TABLE_TOL, and
+one atom per non-empty cell.  Equal widths, not equal masses, because
+the bound below is set by the sparse tails, where equal-mass bins are
+wide.  Each compressed atom is the weighted mean radius of its bin, so
+the first-order Taylor term in r cancels and
 
     sup_x |sum_i w_i K(x/r_i) - sum_b W_b K(x/rbar_b)|
         <= C_K / 2 * sum_b sum_(i in b) w_i (r_i - rbar_b)^2 / min_(i in b) r_i^2,
@@ -27,11 +29,11 @@ term in r cancels and
 with C_K = sup_z |2 z k(z) + z^2 k'(z)| = sup_z |(z^2 k)'(z)| for the
 kernel density k; the linear interpolation of the table adds
 (dx)^2/8 sup|k'| / min r^2.  The sphere kernel of n < 5 has an
-unbounded k', so its tables keep the ceiling and an infinite bound.
-The sphere kernel is a PCHIP table of the closed-form CDF, within 1e-7
-of it (the largest gap seen up to n = 4096 is 1.4e-9), far below every
-Monte Carlo noise floor in this package; the certified bound is taken
-against the direct sum with that same kernel.
+unbounded k', so its tables keep the ceiling count of cells and an
+infinite bound.  The sphere kernel is a PCHIP table of the closed-form
+CDF, within 1e-7 of it (the largest gap seen up to n = 4096 is 1.4e-9),
+far below every Monte Carlo noise floor in this package; the certified
+bound is taken against the direct sum with that same kernel.
 """
 
 from __future__ import annotations
@@ -124,15 +126,12 @@ class StepCDF:
         x = np.asarray(x, dtype=float)
         return np.searchsorted(self.values, x, side="left") / self.count
 
-    def jump_points(self) -> np.ndarray:
-        return np.unique(self.values)
-
 
 # ---------------------------------------------------------------------------
 # Mixture CDF
 # ---------------------------------------------------------------------------
 
-def _bin_starts(weights: np.ndarray, max_atoms: int) -> np.ndarray:
+def equal_mass_starts(weights: np.ndarray, max_atoms: int) -> np.ndarray:
     """First index of each equal-weight bin of atoms in radius order."""
     if weights.size <= max_atoms:
         return np.arange(weights.size)
@@ -143,14 +142,27 @@ def _bin_starts(weights: np.ndarray, max_atoms: int) -> np.ndarray:
     return np.concatenate(([0], cuts[cuts < weights.size]))
 
 
-def compress_atoms(radii: np.ndarray, weights: np.ndarray, max_atoms: int):
-    """Equal-weight quantile binning of radial atoms."""
-    if radii.size <= max_atoms:
-        return radii, weights
-    order = np.argsort(radii)
-    r = radii[order]
-    w = weights[order]
-    bounds = np.append(_bin_starts(w, max_atoms), r.size)
+def _equal_width_starts(r: np.ndarray, cells: int) -> np.ndarray:
+    """First index of each non-empty one of `cells` equal-width cells of sorted r.
+
+    With at least as many cells as atoms, every atom is its own bin.
+    """
+    if cells >= r.size:
+        return np.arange(r.size)
+    edges = np.linspace(r[0], r[-1], cells + 1)[1:-1]
+    return np.unique(np.concatenate(([0], np.searchsorted(r, edges, side="left"))))
+
+
+def compress_atoms(r: np.ndarray, w: np.ndarray, starts: np.ndarray):
+    """Merge each bin of the atoms (r ascending, weights w) into one atom.
+
+    Bin b holds the atoms from starts[b] up to the next start; its atom
+    is the bin's weighted mean radius with the bin's total weight.  When
+    every atom is its own bin, the atoms come back as they are.
+    """
+    if starts.size == r.size:
+        return r, w
+    bounds = np.append(starts, r.size)
     out_r, out_w = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         wg = w[lo:hi]
@@ -256,23 +268,24 @@ class MixtureCDF:
         return kernel_sum(lambda xs, r: self._kernel_cdf(xs / r), x, radii, weights,
                           chunk=block_rows(radii.size))
 
-    def _certified_count(self) -> tuple[int, float]:
-        """The fewest atoms whose table bound is <= TABLE_TOL, and that bound.
+    def _certified_count(self, r: np.ndarray, w: np.ndarray) -> tuple[int, float]:
+        """A cell count whose table bound is <= TABLE_TOL, and that bound.
 
-        Bisects on [1, COMPRESS_ATOMS]; a mixture that no count certifies
-        keeps the ceiling and reports its (larger or infinite) bound.
+        r, w are the atoms in radius order.  Bisects on [1, COMPRESS_ATOMS]
+        over equal-width cells; the bound is not monotone in the count, so
+        the result is a certified count, not necessarily the fewest.  A
+        mixture that no count certifies keeps the ceiling and reports its
+        (larger or infinite) bound.
         """
         c_k, dk = _kernel_constants(self.kernel, self.n)
-        cap = min(self.radii.size, COMPRESS_ATOMS)
+        cap = min(r.size, COMPRESS_ATOMS)
         if math.isinf(c_k):
             return cap, math.inf
-        order = np.argsort(self.radii)  # the order compress_atoms bins in
-        r, w = self.radii[order], self.weights[order]
         step = 2.0 * self.span / (LUT_POINTS - 1)
         interp = step * step / 8.0 * dk / r[0] ** 2
 
         def bound(count: int) -> float:
-            return _compression_bound(r, w, _bin_starts(w, count), c_k) + interp
+            return _compression_bound(r, w, _equal_width_starts(r, count), c_k) + interp
 
         lo, hi = 1, cap
         if bound(hi) <= TABLE_TOL:
@@ -286,8 +299,10 @@ class MixtureCDF:
 
     def _ensure_lut(self):
         if self._lut is None:
-            count, self.table_bound = self._certified_count()
-            r, w = compress_atoms(self.radii, self.weights, count)
+            order = np.argsort(self.radii)
+            r, w = self.radii[order], self.weights[order]
+            cells, self.table_bound = self._certified_count(r, w)
+            r, w = compress_atoms(r, w, _equal_width_starts(r, cells))
             self.table_atoms = r.size
             w = w / w.sum()
             span = self.span
@@ -366,9 +381,16 @@ def _ks_step_step(a: StepCDF, b: StepCDF) -> DistanceReport:
 
 
 def _ks_step_mixture(step: StepCDF, mix: MixtureCDF) -> DistanceReport:
-    pts = step.jump_points()
+    # the jump points are the distinct sorted values; at the i-th one,
+    # F(x-) = counts[i] counts the values before it and F(x) = counts[i + 1]
+    v = step.values
+    is_first = np.concatenate(([True], v[1:] != v[:-1]))
+    pts = v[is_first]
     m = mix.cdf(pts)  # continuous: one value serves both one-sided limits
-    d = np.maximum(np.abs(step.cdf(pts) - m), np.abs(step.cdf_left(pts) - m))
+    counts = np.append(np.flatnonzero(is_first), v.size) / step.count
+    # as F(x-) <= F(x), max(|F(x) - m|, |F(x-) - m|) = max(F(x) - m, m - F(x-))
+    d = counts[1:] - m
+    np.maximum(d, m - counts[:-1], out=d)
     i = int(np.argmax(d))
     metadata = {"points": pts.size}
     if mix.tabulates(pts.size):

@@ -147,12 +147,29 @@ class TestTableBound:
         # a count below the ceiling is certified
         assert mix.table_atoms == di.COMPRESS_ATOMS or mix.table_bound <= di.TABLE_TOL
 
+    def test_uniform_n16_certifies_few_atoms(self):
+        mix = di.typical_cdf(spec_iid("uniform", 16), radial_budget=100_000)
+        mix._ensure_lut()
+        assert mix.table_atoms <= 256
+        assert mix.table_bound <= di.TABLE_TOL
+
+    def test_identical_radii_one_atom(self):
+        # every cell but the first is empty, and one bin has no spread
+        mix = di.MixtureCDF(radii=np.full(5000, 1.3), weights=np.full(5000, 1.0 / 5000),
+                            kernel="gaussian")
+        mix._ensure_lut()
+        step = 2.0 * mix.span / (di.LUT_POINTS - 1)
+        interp = step * step / 8.0 * di._kernel_constants("gaussian", None)[1] / 1.3 ** 2
+        assert mix.table_atoms == 1
+        assert mix.table_bound == interp
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_unbounded_kernel_derivative_keeps_ceiling(self, n):
         rng = np.random.default_rng(1)
         mix = di.MixtureCDF(radii=rng.uniform(0.5, 1.5, 5000),
                             weights=np.full(5000, 1.0 / 5000), kernel="sphere", n=n)
-        assert mix._certified_count() == (di.COMPRESS_ATOMS, math.inf)
+        assert mix._certified_count(np.sort(mix.radii), mix.weights) == (
+            di.COMPRESS_ATOMS, math.inf)
 
     @pytest.mark.parametrize("n", [None, 5, 6, 8, 16, 64, 256])
     def test_kernel_constants_match_dense_grid(self, n):
@@ -263,6 +280,23 @@ class TestKolmogorovDistance:
                 step.values, step.values - 1e-12]))
             brute = np.abs(step.cdf(grid) - mix.cdf(grid)).max()
             assert abs(exact - brute) < 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 3000),
+           spread=st.integers(0, 40))
+    def test_step_mixture_exact_with_ties(self, seed, size, spread):
+        # integer samples repeat; the distance equals the one read at the
+        # distinct values through searchsorted, bit for bit
+        samples = np.random.default_rng(seed).integers(-spread, spread + 1, size)
+        step = di.StepCDF.from_samples(samples.astype(float))
+        mix = di.gaussian_mixture_cdf([(0.7 * spread + 0.5, 0.4), (spread + 1.0, 0.6)])
+        pts = np.unique(step.values)
+        m = mix.cdf(pts)
+        d = np.maximum(np.abs(step.cdf(pts) - m), np.abs(step.cdf_left(pts) - m))
+        i = int(np.argmax(d))
+        report = di.kolmogorov_distance(step, mix)
+        assert (report.rho, report.location) == (float(d[i]), float(pts[i]))
+        assert report.metadata["points"] == pts.size
 
     @settings(max_examples=15, deadline=None)
     @given(u=any_cdf, v=any_cdf, w=any_cdf)
