@@ -12,7 +12,7 @@ from .errors import (ConfigurationError, DomainError, FitUnavailableError,
                      InsufficientDataError, NumericKernelError)
 from .sphere_law import Direction, cdf, density, gap_report, sample_direction
 from .systems import (SampleBatch, SystemSpec, built_in_spec, default_catalog,
-                      project, sample_vector, weighted_sum)
+                      direction_cf, project, sample_vector, weighted_sum)
 from .functionals import (Estimate, FunctionalsReport, LowerTailBound,
                           MomentEstimate, compute_functionals,
                           lower_tail_bound, moment_Mp, moment_mp,

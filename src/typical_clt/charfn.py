@@ -1,16 +1,18 @@
 """Characteristic functions of weighted sums and of the typical law.
 
-Provides empirical cf estimation for a fixed direction, the typical cf
-f(t) = E J_n(t |X|), concentration checks for cfs over random
-directions, and the three smoothing integrals that convert cf closeness
-into a Kolmogorov-distance bound:
+Provides the exact cf f_theta(t) of <X, theta> for a fixed direction
+(`systems.direction_cf`, closed form or a certified grid for every
+catalog kind), the typical cf f(t) = E J_n(t |X|), concentration checks
+for cfs over random directions, and the three smoothing integrals that
+convert cf closeness into a Kolmogorov-distance bound:
 
     I_close = integral_0^T0  |u(t) - v(t)| / t dt
     I_mid   = integral_T0^T  |u(t)| / t dt
     I_tail  = (1/T) integral_0^T |v(t)| dt
 
-One sample batch is reused across all grid points of a cf estimate
-(common random numbers), which sharpens the margins of the bound checks.
+Since every f_theta is exact, the only Monte Carlo noise in the checks
+over directions is that of the direction sample itself (and of the
+sampled norms in the typical cf and the small-ball probability).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .quadrature import block_rows
 from .reports import BoundCheck, BoundCheckReport
 from .rng import make_rng, master_seed
 from .sphere_law import Direction, jn_table, sample_direction
-from .systems import SystemSpec, project, squared_norms
+from .systems import SystemSpec, direction_cf, squared_norms
 from .distributions import compress_atoms, equal_mass_starts, mean_theta_distance
 
 DEFAULT_GRID_POINTS = 512
@@ -69,29 +71,11 @@ class CharFnEstimate:
         return header, rows
 
 
-def _empirical_cf(samples: np.ndarray, t: np.ndarray):
-    """Mean of exp(i t S) with per-point standard errors."""
-    m = samples.shape[0]
-    vals = np.empty(t.shape[0], dtype=complex)
-    ses = np.empty(t.shape[0])
-    chunk = block_rows(m)
-    for lo in range(0, t.shape[0], chunk):
-        hi = min(lo + chunk, t.shape[0])
-        phase = samples[None, :] * t[lo:hi, None]
-        c, s = np.cos(phase), np.sin(phase)
-        vals[lo:hi] = c.mean(axis=1) + 1j * s.mean(axis=1)
-        ses[lo:hi] = np.sqrt((c.var(axis=1) + s.var(axis=1)) / m)
-    return vals, ses
-
-
-def charfn_weighted_sum(spec: SystemSpec, theta: Direction, t_grid,
-                        budget: int = 20000, rng=0) -> CharFnEstimate:
-    """Empirical cf of <X, theta> on the grid, one shared sample batch."""
-    if budget < 100:
-        raise InsufficientDataError(f"cf estimation needs a budget >= 100, got {budget}")
+def charfn_weighted_sum(spec: SystemSpec, theta: Direction, t_grid) -> CharFnEstimate:
+    """The exact cf of <X, theta> on the grid (standard error 0, no samples)."""
     t = np.asarray(t_grid, dtype=float)
-    vals, ses = _empirical_cf(project(spec, theta, budget, rng), t)
-    return CharFnEstimate(t=t, values=vals, se=ses, budget=budget)
+    return CharFnEstimate(t=t, values=direction_cf(spec, theta, t),
+                          se=np.zeros(t.shape), budget=0)
 
 
 def charfn_typical(spec: SystemSpec, t_grid, radial_budget: int = 100_000,
@@ -133,29 +117,29 @@ def charfn_typical(spec: SystemSpec, t_grid, radial_budget: int = 100_000,
 # ---------------------------------------------------------------------------
 
 def _per_theta_cf_matrix(spec: SystemSpec, t: np.ndarray, theta_budget: int,
-                         sample_budget: int, seed: int) -> np.ndarray:
+                         seed: int) -> np.ndarray:
+    """Exact f_theta(t), one row per direction drawn from (seed, "cf_theta", j)."""
     rows = np.empty((theta_budget, t.shape[0]), dtype=complex)
     for j in range(theta_budget):
         theta = sample_direction(spec.n, make_rng(seed, "cf_theta", j))
-        rows[j] = charfn_weighted_sum(spec, theta, t, sample_budget,
-                                      make_rng(seed, "cf_batch", j)).values
+        rows[j] = direction_cf(spec, theta, t)
     return rows
 
 
 def poincare_gap_check(spec: SystemSpec, t_grid, theta_budget: int = 48,
-                       sample_budget: int = 20000, rng=0) -> BoundCheckReport:
+                       rng=0) -> BoundCheckReport:
     """Check E_theta |f_theta(t) - f(t)|^2 <= t^2 M_1^2 / (n - 1).
 
     M_1 is bounded above by the analytic M_2, which exists for every
-    catalog system; the left side is the sample variance of the per-theta
-    cf estimates (per-theta estimation noise only inflates it, making the
-    check conservative).
+    catalog system.  The left side is the sample variance of the exact
+    f_theta(t) over the drawn directions, with f(t) estimated by their
+    mean; its standard error is that of the direction sample alone.
     """
     seed = master_seed(rng)
     t = np.asarray(t_grid, dtype=float)
     m2 = moment_Mp(spec, 2.0)
     m1_sq = m2.value ** 2
-    rows = _per_theta_cf_matrix(spec, t, theta_budget, sample_budget, seed)
+    rows = _per_theta_cf_matrix(spec, t, theta_budget, seed)
     center = rows.mean(axis=0)
     sq_dev = np.square(np.abs(rows - center[None, :]))
     lhs = sq_dev.sum(axis=0) / (theta_budget - 1)
@@ -168,7 +152,7 @@ def poincare_gap_check(spec: SystemSpec, t_grid, theta_budget: int = 48,
             name="cf_direction_variance",
             statement="E_theta |f_theta(t) - f(t)|^2 <= t^2 M_1^2 / (n-1)",
             lhs=float(lhs[k]), rhs=float(rhs[k]), slack=slack,
-            spec_id=spec.spec_id, n=spec.n, seed=seed, budget=sample_budget,
+            spec_id=spec.spec_id, n=spec.n, seed=seed, budget=0,
             extra={"t": float(t[k]), "theta_budget": theta_budget},
         ))
     return report
@@ -179,14 +163,14 @@ def decay_bound_check(spec: SystemSpec, t_grid, theta_budget: int = 48,
     """Check E_theta |f_theta(t)| <= 2.1 (e^(-t^2/16) + e^(-n/24) + sqrt(P)).
 
     P = P{|X - Y|^2 <= n/4}, taken SLACK_SE standard errors above its
-    empirical estimate.
+    empirical estimate from `sample_budget` pairs; f_theta is exact.
     """
     seed = master_seed(rng)
     t = np.asarray(t_grid, dtype=float)
     sb = small_ball(spec, budget=sample_budget, rng=make_rng(seed, "decay_sb"))
     p_hat = sb.empirical
     p_up = p_hat + reports.SLACK_SE * sb.se
-    rows = _per_theta_cf_matrix(spec, t, theta_budget, sample_budget, seed)
+    rows = _per_theta_cf_matrix(spec, t, theta_budget, seed)
     mags = np.abs(rows)
     lhs = mags.mean(axis=0)
     se = mags.std(axis=0, ddof=1) / math.sqrt(theta_budget)
@@ -285,7 +269,7 @@ class SmoothingReport:
 
 
 def smoothing_report(spec: SystemSpec, theta_budget: int = 16,
-                     sample_budget: int = 20000, radial_budget: int = 50000,
+                     radial_budget: int = 50000,
                      grid_points: int = DEFAULT_GRID_POINTS, rng=0,
                      rho_theta_budget: int = 16,
                      rho_sample_budget: int = 50000) -> SmoothingReport:
@@ -301,7 +285,7 @@ def smoothing_report(spec: SystemSpec, theta_budget: int = 16,
     t0 = 5.0 * math.sqrt(math.log(n))
     t_max = 5.0 * n
     t = default_t_grid(t_max, grid_points)
-    rows = _per_theta_cf_matrix(spec, t, theta_budget, sample_budget, seed)
+    rows = _per_theta_cf_matrix(spec, t, theta_budget, seed)
     typical = charfn_typical(spec, t, radial_budget, make_rng(seed, "smooth_radial"))
     abs_diff = np.abs(rows - typical.values[None, :]).mean(axis=0)
     abs_mid = np.abs(rows).mean(axis=0)
@@ -316,6 +300,6 @@ def smoothing_report(spec: SystemSpec, theta_budget: int = 16,
         mean_rho=rho.mean,
         metadata={
             "spec_id": spec.spec_id, "n": n, "theta_budget": theta_budget,
-            "sample_budget": sample_budget, "seed": seed,
+            "seed": seed,
         },
     )

@@ -339,7 +339,7 @@ def _suite_charfn(scale: float, seed: int) -> list:
     cells = []
     for spec in specs:  # int seeds: a cell gives the same rows on every call
         cells.append(partial(
-            cf.poincare_gap_check, spec, poincare_ts, theta_budget=48, sample_budget=budget,
+            cf.poincare_gap_check, spec, poincare_ts, theta_budget=48,
             rng=master_seed(make_rng(seed, "poincare", spec.spec_id))))
         cells.append(partial(
             cf.decay_bound_check, spec, decay_ts, theta_budget=48, sample_budget=budget,

@@ -78,15 +78,22 @@ def gauss_abs_moment(p: float) -> float:
         raise NumericKernelError(f"E|Z|^p overflows a float at p = {p}") from None
 
 
-def _abs_pow(x: np.ndarray, p: float) -> np.ndarray:
-    """|x|^p, avoiding the generic pow kernel for the common small orders."""
+def _abs_pow(x: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """|x|^p, avoiding the generic pow kernel for the common small orders.
+
+    With `out` (x's shape) the result is written there, bit for bit, and
+    x is used as scratch.
+    """
     if p == 1.0:
-        return np.abs(x)
+        return np.abs(x, out=out)
     if p == 2.0:
-        return np.square(x)
+        return np.square(x, out=out)
     if p == 3.0:
-        return np.square(x) * np.abs(x)
-    return np.abs(x) ** p
+        if out is None:
+            return np.square(x) * np.abs(x)
+        np.abs(x, out=out)
+        return np.multiply(np.square(x, out=x), out, out=out)
+    return np.power(np.abs(x, out=out), p, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +122,18 @@ def _analytic_Mp(spec: SystemSpec, p: float) -> float | None:
     return None
 
 
-def _empirical_lp(matrix: np.ndarray, directions: np.ndarray, p: float) -> np.ndarray:
-    """(E_hat |X . d|^p)^(1/p) for each column d of `directions`."""
-    proj = matrix @ directions
-    return np.mean(_abs_pow(proj, p), axis=0) ** (1.0 / p)
+def _empirical_lp(matrix: np.ndarray, directions: np.ndarray, p: float,
+                  buffers: tuple | None = None) -> np.ndarray:
+    """(E_hat |X . d|^p)^(1/p) for each column d of `directions`.
+
+    `buffers`, two arrays of the projections' shape, hold the projections
+    and their |.|^p instead of fresh temporaries, with the same result.
+    """
+    if buffers is None:
+        return np.mean(_abs_pow(matrix @ directions, p), axis=0) ** (1.0 / p)
+    proj, powers = buffers
+    np.matmul(matrix, directions, out=proj)
+    return np.mean(_abs_pow(proj, p, out=powers), axis=0) ** (1.0 / p)
 
 
 def _search_Mp(spec: SystemSpec, p: float, budget: int, rng) -> MomentEstimate:
@@ -137,11 +152,12 @@ def _search_Mp(spec: SystemSpec, p: float, budget: int, rng) -> MomentEstimate:
     value = float(scores[best])
     # coordinate ascent with shrinking step; stops once gains hit batch noise
     signed_axes = np.concatenate([np.eye(n), -np.eye(n)], axis=1)
+    buffers = (np.empty((budget, 2 * n)), np.empty((budget, 2 * n)))
     for step in (0.5, 0.2, 0.08, 0.03, 0.01):
         for _ in range(10):
             props = theta[:, None] + step * signed_axes
             props /= np.linalg.norm(props, axis=0, keepdims=True)
-            sc = _empirical_lp(batch.matrix, props, p)
+            sc = _empirical_lp(batch.matrix, props, p, buffers)
             j = int(np.argmax(sc))
             if sc[j] <= value * (1.0 + 1e-6):
                 break
@@ -171,37 +187,41 @@ def moment_Mp(spec: SystemSpec, p: float, budget: int = 20000, rng=0) -> MomentE
 # ---------------------------------------------------------------------------
 
 def _pair_inner_products(spec: SystemSpec, pairs: int, rng) -> np.ndarray:
-    """<X_i, Y_i> over `pairs` independent pairs.
+    """<X_i, Y_i> over `pairs` independent pairs, PAIR_BLOCK rows at a time.
 
-    Y is drawn in PAIR_BLOCK-row blocks from one generator, which yields
-    the rows of a one-shot draw, so memory holds X and one block of Y.
-    X stays whole: a Generator `rng` serves both X and Y, and Y's draws
-    must follow all of X's.
+    X and Y are the one-shot draws sample_vector(spec, pairs, g) of
+    g = as_rng(rng, "pairs_x") and as_rng(rng, "pairs_y"); a block drawn
+    from g yields the next rows of that draw, so memory holds one block
+    of each.  A Generator `rng` serves X and then Y: it is first advanced
+    past X by drawing X's blocks once more, unkept, while a twin of its
+    state draws the X that is used.
     """
-    x = sample_vector(spec, pairs, as_rng(rng, "pairs_x")).matrix
-    gen_y = as_rng(rng, "pairs_y")
+    gen_x, gen_y = as_rng(rng, "pairs_x"), as_rng(rng, "pairs_y")
+    starts = range(0, pairs, PAIR_BLOCK)
+    if gen_x is gen_y:
+        bits = type(gen_y.bit_generator)()
+        bits.state = gen_y.bit_generator.state
+        gen_x = np.random.Generator(bits)
+        for lo in starts:
+            sample_vector(spec, min(PAIR_BLOCK, pairs - lo), gen_y)
     out = np.empty(pairs)
-    for lo in range(0, pairs, PAIR_BLOCK):
+    for lo in starts:
         hi = min(lo + PAIR_BLOCK, pairs)
+        x = sample_vector(spec, hi - lo, gen_x).matrix
         y = sample_vector(spec, hi - lo, gen_y).matrix
-        out[lo:hi] = np.einsum("ij,ij->i", x[lo:hi], y)
+        out[lo:hi] = np.einsum("ij,ij->i", x, y)
     return out
 
 
 def moment_mp(spec: SystemSpec, p: float, pairs: int = 20000, rng=0) -> Estimate:
-    """m_p estimate over independent pairs, with bootstrap SE."""
+    """m_p estimate over independent pairs, with delta-method SE."""
     check_order(p)
     if pairs < 100:
         raise InsufficientDataError(f"need at least 100 pairs, got {pairs}")
-    ip = _pair_inner_products(spec, pairs, rng)
-    v = _abs_pow(ip, p)
+    v = _abs_pow(_pair_inner_products(spec, pairs, rng), p)
     root_n = math.sqrt(spec.n)
-
-    def stat(sample):
-        return sample.mean() ** (1.0 / p) / root_n
-
-    boot = as_rng(rng, "mp_boot")
-    return Estimate(value=float(stat(v)), se=_bootstrap_se(v, stat, boot))
+    return Estimate(value=float(v.mean() ** (1.0 / p) / root_n),
+                    se=root_mean_se(v, p) / root_n)
 
 
 def sigma_2p(spec: SystemSpec, p: float, budget: int = 20000, rng=0) -> Estimate:

@@ -29,6 +29,10 @@ time (see `_reduce_blocks`), unless the kind has a matrix-free form:
 Blocks hold a multiple of 8 rows, so with one BLAS thread the blocked
 matvec puts its remainder rows where the one-shot matvec does and is
 bit for bit the matrix path; squared norms are bit for bit in any case.
+
+`direction_cf` is the exact cf of <X, theta> for every kind, from the
+same tables: the Walsh values of the lookup above, and for trig the
+coefficients of the Horner form, summed on an equispaced frequency grid.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericKernelError
 from .rng import as_rng, make_rng
 from .sphere_law import Direction
 
@@ -61,6 +65,10 @@ SHARD_SIZE = 1 << 16
 # its size, and the heap then keeps later blocks (on a 2-vCPU Linux VM,
 # verify --suite all peaked at 557 MB with them and 477 MB with these).
 STREAM_ENTRIES = 500_000
+# Most equispaced frequencies the trigonometric cf may double up to, and
+# how closely the cfs of two successive grids must agree.
+TRIG_CF_MAX_POINTS = 1 << 20
+TRIG_CF_TOL = 1e-12
 
 
 @lru_cache(maxsize=None)
@@ -156,14 +164,21 @@ def _sample_rows(spec: SystemSpec, count: int, gen: np.random.Generator) -> np.n
     return out
 
 
+@lru_cache(maxsize=4)  # 2^m x n floats: 32 KB at n = 63, 134 MB at n = 4095
+def _walsh_table(n: int) -> np.ndarray:
+    """The n Walsh characters at all 2^m sign rows, row b for packed bits b (read-only)."""
+    m = walsh_bits(n)
+    eps = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1) * 2.0 - 1.0
+    table = np.empty((1 << m, n))
+    for j, char in enumerate(default_walsh_characters(n)):
+        table[:, j] = np.prod(eps[:, np.array(char) - 1], axis=1)
+    table.flags.writeable = False
+    return table
+
+
 def _walsh_rows(n: int, bits: np.ndarray) -> np.ndarray:
     """The n Walsh characters at the sign rows eps = 2 bits - 1."""
-    eps = bits.astype(float) * 2.0 - 1.0
-    out = np.empty((bits.shape[0], n))
-    for j, char in enumerate(default_walsh_characters(n)):
-        idx = np.array(char) - 1
-        out[:, j] = np.prod(eps[:, idx], axis=1)
-    return out
+    return _walsh_table(n)[bits @ (1 << np.arange(bits.shape[1]))]
 
 
 def _in_shards(draw, count: int, rng, width: tuple = ()) -> np.ndarray:
@@ -205,9 +220,14 @@ def weighted_sum(batch: SampleBatch, theta: Direction) -> np.ndarray:
     return batch.matrix @ theta.coords
 
 
+def _trig_coefficients(theta: Direction) -> np.ndarray:
+    """c_k with <X, theta> = Re sum_k c_k e^(ikw), k = 1..n/2, at frequency w."""
+    return SQRT2 * (theta.coords[0::2] - 1j * theta.coords[1::2])
+
+
 def _trig_projector(theta: Direction):
     """rows, generator -> <X, theta> at the drawn frequencies, by Horner."""
-    coef = SQRT2 * (theta.coords[0::2] - 1j * theta.coords[1::2])
+    coef = _trig_coefficients(theta)
 
     def draw(rows: int, gen: np.random.Generator) -> np.ndarray:
         z = np.exp(1j * gen.uniform(-math.pi, math.pi, size=rows))
@@ -221,12 +241,16 @@ def _trig_projector(theta: Direction):
     return draw
 
 
+def _walsh_values(theta: Direction) -> np.ndarray:
+    """<X, theta> at each of the 2^m equally likely sign rows, by packed index."""
+    return _walsh_table(theta.n) @ theta.coords
+
+
 def _walsh_projector(theta: Direction):
     """rows, generator -> <X, theta> looked up by packed sign pattern."""
     m = walsh_bits(theta.n)
     powers = 1 << np.arange(m)
-    cube = (np.arange(1 << m)[:, None] & powers[None, :]) != 0
-    values = _walsh_rows(theta.n, cube) @ theta.coords
+    values = _walsh_values(theta)
 
     def draw(rows: int, gen: np.random.Generator) -> np.ndarray:
         return values[gen.integers(0, 2, size=(rows, m)) @ powers]
@@ -275,6 +299,85 @@ def project(spec: SystemSpec, theta: Direction, count: int, rng) -> np.ndarray:
     else:
         return _reduce_blocks(spec, count, rng, lambda batch: weighted_sum(batch, theta))
     return _in_shards(draw, count, rng)
+
+
+# ---------------------------------------------------------------------------
+# Exact cfs of <X, theta>
+# ---------------------------------------------------------------------------
+
+# cf of one coordinate of the iid kinds at s = theta_k t
+_COORDINATE_CF = {
+    "rademacher": np.cos,
+    "fixed_norm_rademacher": np.cos,
+    "uniform": lambda s: np.sinc(s * (SQRT3 / math.pi)),   # sin(sqrt3 s) / (sqrt3 s)
+    "exponential": lambda s: np.exp(-1j * s) / (1.0 - 1j * s),
+}
+
+
+def _over_t(t: np.ndarray, width: int, f) -> np.ndarray:
+    """f(t_block[:, None]) for every t, in blocks of at most STREAM_ENTRIES / width points."""
+    out = np.empty(t.shape[0], dtype=complex)
+    step = max(1, STREAM_ENTRIES // width)
+    for lo in range(0, t.shape[0], step):
+        out[lo:lo + step] = f(t[lo:lo + step, None])
+    return out
+
+
+def _mean_exp(values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """mean_j exp(i t v_j) at each t: the cf of the uniform law on `values`."""
+    return _over_t(t, values.size, lambda tb: np.exp(1j * (tb * values)).mean(axis=1))
+
+
+def _trig_cf(theta: Direction, t: np.ndarray) -> np.ndarray:
+    """Mean of exp(i t <X, theta>) over M equispaced frequencies.
+
+    s(w) = <X, theta> on the grid w_j = 2 pi j / M is one inverse FFT of
+    the coefficients.  M starts above n and doubles, each finer grid
+    adding the midpoints of the last, until at every t two successive
+    grids agree within TRIG_CF_TOL; a t that has agreed stops refining.
+    Past TRIG_CF_MAX_POINTS it raises.
+    """
+    coef = _trig_coefficients(theta)
+    spectrum = np.zeros(1 << theta.n.bit_length(), dtype=complex)
+    spectrum[1:coef.size + 1] = coef
+    cf = _mean_exp(np.fft.ifft(spectrum, norm="forward").real, t)
+    todo = np.arange(t.shape[0])
+    while spectrum.size < TRIG_CF_MAX_POINTS:
+        spectrum = np.concatenate([spectrum, np.zeros(spectrum.size, dtype=complex)])
+        odd = np.fft.ifft(spectrum, norm="forward").real[1::2]
+        finer = 0.5 * (cf[todo] + _mean_exp(odd, t[todo]))
+        moved = np.abs(finer - cf[todo]) > TRIG_CF_TOL
+        cf[todo] = finer
+        todo = todo[moved]
+        if todo.size == 0:
+            return cf
+    raise NumericKernelError(
+        f"trigonometric cf of n={theta.n} did not settle to {TRIG_CF_TOL} "
+        f"within {TRIG_CF_MAX_POINTS} frequencies at t up to {t.max(initial=0.0)}")
+
+
+def direction_cf(spec: SystemSpec, theta: Direction, t) -> np.ndarray:
+    """The exact cf E exp(i t <X, theta>) at each t, for every catalog kind.
+
+    iid kinds: the product over k of the coordinate cf at theta_k t.
+    Gaussian kinds: exp(-t^2 sum_k lambda_k theta_k^2 / 2).  Walsh: the
+    mean over the 2^m values of `_walsh_values`.  Trigonometric: see
+    `_trig_cf`, which raises NumericKernelError if its grid fails to settle.
+    """
+    if spec.n != theta.n:
+        raise DomainError(
+            f"dimension mismatch: system has n={spec.n}, direction has n={theta.n}")
+    t = np.asarray(t, dtype=float)
+    if spec.kind == "walsh":
+        return _mean_exp(_walsh_values(theta), t)
+    if spec.kind == "trigonometric":
+        return _trig_cf(theta, t)
+    if spec.is_gaussian:
+        lam = 1.0 if spec.is_isotropic else np.asarray(spiked_eigenvalues(spec.n))
+        var = float(np.sum(lam * np.square(theta.coords)))
+        return np.exp(-0.5 * var * np.square(t)).astype(complex)
+    phi = _COORDINATE_CF[spec.kind]
+    return _over_t(t, spec.n, lambda tb: phi(tb * theta.coords).prod(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from typical_clt import charfn as cf
 from typical_clt import distributions as di
 from typical_clt import systems as sy
-from typical_clt.errors import DomainError, InsufficientDataError
+from typical_clt.errors import DomainError
 from typical_clt.functionals import sigma_2p
 from typical_clt.quadrature import kernel_sum
 from typical_clt.rng import make_rng
@@ -43,36 +43,28 @@ class TestCharFnEstimate:
 class TestWeightedSumCf:
     def test_value_at_zero_is_exact_one(self):
         theta = sample_direction(8, 1)
-        est = cf.charfn_weighted_sum(spec_iid("rademacher", 8), theta,
-                                     [0.0, 1.0], budget=500, rng=2)
+        est = cf.charfn_weighted_sum(spec_iid("rademacher", 8), theta, [0.0, 1.0])
         assert est.values[0] == 1.0 + 0.0j
+        assert est.budget == 0 and np.all(est.se == 0.0)
 
     def test_rademacher_axis_is_cosine(self):
         from typical_clt.sphere_law import Direction
         e1 = Direction(coords=np.eye(8)[0].astype(float))
         t = np.array([0.0, 0.5, 1.0, 2.0, 5.0])
-        est = cf.charfn_weighted_sum(spec_iid("rademacher", 8), e1, t,
-                                     budget=40_000, rng=3)
-        assert np.all(np.abs(est.values - np.cos(t)) <= 3.0 * est.se + 1e-12)
+        est = cf.charfn_weighted_sum(spec_iid("rademacher", 8), e1, t)
+        assert np.abs(est.values - np.cos(t)).max() <= 1e-15
 
     def test_gaussian_cf(self):
         theta = sample_direction(16, 4)
         t = np.array([1.0])
-        est = cf.charfn_weighted_sum(spec_iid("normal", 16), theta, t,
-                                     budget=40_000, rng=5)
-        assert abs(est.values[0] - math.exp(-0.5)) <= 3.0 * est.se[0]
+        est = cf.charfn_weighted_sum(spec_iid("normal", 16), theta, t)
+        assert est.values[0] == pytest.approx(math.exp(-0.5), abs=1e-14)
 
     def test_modulus_bounded(self):
         theta = sample_direction(16, 6)
         t = np.linspace(0, 20, 41)
-        est = cf.charfn_weighted_sum(spec_iid("uniform", 16), theta, t,
-                                     budget=20_000, rng=7)
-        assert np.all(np.abs(est.values) <= 1.0 + 3.0 * est.se)
-
-    def test_budget_validation(self):
-        theta = sample_direction(8, 1)
-        with pytest.raises(InsufficientDataError):
-            cf.charfn_weighted_sum(spec_iid("normal", 8), theta, [1.0], budget=10)
+        est = cf.charfn_weighted_sum(spec_iid("uniform", 16), theta, t)
+        assert np.all(np.abs(est.values) <= 1.0 + 1e-14)
 
 
 class TestTypicalCf:
@@ -99,8 +91,7 @@ class TestTypicalCf:
         vals = []
         for j in range(32):
             theta = sample_direction(64, make_rng(9, "xc_theta", j))
-            e = cf.charfn_weighted_sum(spec, theta, np.array([1.0]),
-                                       budget=20_000, rng=make_rng(9, "xc_b", j))
+            e = cf.charfn_weighted_sum(spec, theta, np.array([1.0]))
             vals.append(e.values[0])
         avg = np.mean(vals)
         se = np.std(vals) / math.sqrt(32)
@@ -111,7 +102,7 @@ class TestTypicalCf:
         spec = spec_iid("uniform", 32)
         t = np.array([0.5, 1.0, 2.0, 4.0])
         typical = cf.charfn_typical(spec, t, radial_budget=40_000, rng=3)
-        rows = cf._per_theta_cf_matrix(spec, t, 32, 20_000, seed=4)
+        rows = cf._per_theta_cf_matrix(spec, t, 32, seed=4)
         mean_mod = np.abs(rows).mean(axis=0)
         se = np.abs(rows).std(axis=0, ddof=1) / math.sqrt(32)
         assert np.all(np.abs(typical.values) <= mean_mod + 3.0 * (se + typical.se))
@@ -145,28 +136,27 @@ class TestTypicalCf:
 
 class TestDirectionConcentration:
     def test_poincare_zero_at_origin(self):
-        rep = cf.poincare_gap_check(TRIG64, [0.0], theta_budget=8,
-                                    sample_budget=2000, rng=1)
+        rep = cf.poincare_gap_check(TRIG64, [0.0], theta_budget=8, rng=1)
         check = rep.checks[0]
         assert check.lhs == 0.0 and check.rhs == 0.0 and check.passed
 
     def test_poincare_trig(self):
         rep = cf.poincare_gap_check(TRIG64, [0.5, 1.0, 2.0, 4.0],
-                                    theta_budget=32, sample_budget=20_000, rng=2)
+                                    theta_budget=32, rng=2)
         assert rep.all_passed, [(c.extra["t"], c.lhs, c.rhs) for c in rep.checks]
 
     def test_poincare_gaussian_flat(self):
         # rotational invariance: f_theta identical across theta
         rep = cf.poincare_gap_check(spec_iid("normal", 64), [0.5, 1.0, 2.0],
-                                    theta_budget=24, sample_budget=20_000, rng=3)
+                                    theta_budget=24, rng=3)
         assert rep.all_passed
-        assert all(c.lhs <= 3e-4 for c in rep.checks)
+        assert all(c.lhs <= 1e-24 and c.budget == 0 for c in rep.checks)
 
     def test_generator_seeds_the_check(self):
         # a Generator is drawn from, never replaced by a fixed seed
         def lhs(rng):
             rep = cf.poincare_gap_check(spec_iid("uniform", 16), [1.0], theta_budget=6,
-                                        sample_budget=1000, rng=rng)
+                                        rng=rng)
             return rep.checks[0].lhs
 
         assert lhs(np.random.default_rng(1)) != lhs(np.random.default_rng(999))
@@ -174,8 +164,7 @@ class TestDirectionConcentration:
 
     def test_non_seed_rng_rejected(self):
         with pytest.raises(TypeError):
-            cf.poincare_gap_check(TRIG64, [1.0], theta_budget=4, sample_budget=200,
-                                  rng=1.5)
+            cf.poincare_gap_check(TRIG64, [1.0], theta_budget=4, rng=1.5)
 
     def test_decay_at_zero_trivial(self):
         rep = cf.decay_bound_check(TRIG64, [0.0], theta_budget=8,
@@ -237,7 +226,7 @@ class TestSmoothing:
         assert i_close == pytest.approx(0.05 * 2.0, rel=1e-6)
 
     def test_full_pipeline_trig(self):
-        rep = cf.smoothing_report(TRIG64, theta_budget=8, sample_budget=10_000,
+        rep = cf.smoothing_report(TRIG64, theta_budget=8,
                                   radial_budget=5000, grid_points=256, rng=7,
                                   rho_theta_budget=8, rho_sample_budget=20_000)
         assert rep.t0 == pytest.approx(5.0 * math.sqrt(math.log(64)))

@@ -78,6 +78,21 @@ class TestMomentMp:
         assert np.allclose(a.direction, b.direction)
 
 
+class TestEmpiricalLp:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.5])
+    def test_buffers_bit_for_bit(self, p):
+        # the preallocated path equals the plain formula of fresh temporaries
+        gen = make_rng(8, "lp")
+        matrix = gen.standard_normal((3000, 16))
+        directions = gen.standard_normal((16, 32))
+        proj = matrix @ directions
+        old = np.mean(np.square(proj) * np.abs(proj) if p == 3.0 else np.abs(proj) ** p,
+                      axis=0) ** (1.0 / p)
+        buffers = (np.empty((3000, 32)), np.empty((3000, 32)))
+        assert np.array_equal(fn._empirical_lp(matrix, directions, p, buffers), old)
+        assert np.array_equal(fn._empirical_lp(matrix, directions, p), old)
+
+
 class TestMomentMpPairs:
     def test_aniso_m2_squared(self):
         spec = sy.built_in_spec("aniso", 4)

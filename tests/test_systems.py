@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from typical_clt import systems as sy
-from typical_clt.errors import ConfigurationError, DomainError
+from typical_clt.errors import ConfigurationError, DomainError, NumericKernelError
 from typical_clt.rng import as_rng, make_rng, master_seed
 from typical_clt.sphere_law import Direction, sample_direction
+
+
+SQRT2 = math.sqrt(2.0)
 
 
 def spec_iid(base, n=16):
@@ -318,6 +321,62 @@ class TestProject:
         a = sy.project(spec, theta, 400, make_rng(seed, "batch"))
         b = matrix_path(spec, theta, 400, make_rng(seed, "batch"))
         assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + np.abs(b)))
+
+
+class TestDirectionCf:
+    T = np.linspace(0.0, 10.0, 11)
+
+    @pytest.mark.parametrize("spec", sy.default_catalog(64), ids=lambda s: s.spec_id)
+    def test_agrees_with_monte_carlo(self, spec):
+        # covers trig n=64, Walsh n=63 and uniform n=64, the charfn-suite systems
+        theta = sample_direction(spec.n, make_rng(3, "theta", spec.spec_id))
+        draws = 40_000
+        phase = self.T[:, None] * sy.project(spec, theta, draws, 5)[None, :]
+        c, s = np.cos(phase), np.sin(phase)
+        se = np.sqrt((c.var(axis=1) + s.var(axis=1)) / draws)
+        mc = c.mean(axis=1) + 1j * s.mean(axis=1)
+        diff = np.abs(sy.direction_cf(spec, theta, self.T) - mc)
+        assert np.all(diff <= 4.0 * se + 1e-12), (diff / np.maximum(se, 1e-300)).max()
+
+    @pytest.mark.parametrize("spec", sy.default_catalog(16), ids=lambda s: s.spec_id)
+    def test_one_at_zero(self, spec):
+        theta = sample_direction(spec.n, 2)
+        assert sy.direction_cf(spec, theta, [0.0])[0] == 1.0
+
+    def test_trig_matches_fine_grid(self):
+        # s(w) formed from the coordinates, not by FFT, on 2^17 equispaced w
+        theta = sample_direction(64, 6)
+        w = 2.0 * math.pi * np.arange(1 << 17) / (1 << 17)
+        k = np.arange(1, 33)
+        s = (SQRT2 * (np.cos(w[:, None] * k) @ theta.coords[0::2]
+                      + np.sin(w[:, None] * k) @ theta.coords[1::2]))
+        t = np.array([0.5, 10.0, 320.0])
+        fine = np.exp(1j * t[:, None] * s[None, :]).mean(axis=1)
+        got = sy.direction_cf(sy.SystemSpec(kind="trigonometric", n=64), theta, t)
+        assert np.abs(got - fine).max() <= 1e-11
+
+    def test_trig_ceiling_raises(self, monkeypatch):
+        spec = sy.SystemSpec(kind="trigonometric", n=64)
+        theta = sample_direction(64, 6)
+        monkeypatch.setattr(sy, "TRIG_CF_MAX_POINTS", 512)
+        assert sy.direction_cf(spec, theta, [0.0])[0] == 1.0
+        with pytest.raises(NumericKernelError):
+            sy.direction_cf(spec, theta, self.T)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DomainError):
+            sy.direction_cf(spec_iid("uniform", 8), sample_direction(4, 0), self.T)
+
+
+class TestWalshRows:
+    @pytest.mark.parametrize("n", [3, 15, 63, 100])
+    def test_lookup_equals_character_products(self, n):
+        bits = make_rng(4, "bits").integers(0, 2, size=(1000, sy.walsh_bits(n)))
+        eps = bits.astype(float) * 2.0 - 1.0
+        old = np.empty((bits.shape[0], n))
+        for j, char in enumerate(sy.default_walsh_characters(n)):
+            old[:, j] = np.prod(eps[:, np.array(char) - 1], axis=1)
+        assert np.array_equal(sy._walsh_rows(n, bits), old)
 
 
 class TestCovarianceSummary:
