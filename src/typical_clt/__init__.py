@@ -20,9 +20,8 @@ from .functionals import (Estimate, FunctionalsReport, LowerTailBound,
 from .distributions import (DistanceReport, MeanThetaDistance, MixtureCDF,
                             StepCDF, gaussian_mixture_cdf, kolmogorov_distance,
                             mean_theta_distance, noise_floor, typical_cdf)
-from .charfn import (CharFnEstimate, charfn_typical, charfn_weighted_sum,
-                     decay_bound_check, poincare_gap_check, smoothing_report,
-                     smoothing_rhs)
+from .charfn import (CharFnEstimate, charfn_typical, decay_bound_check,
+                     poincare_gap_check, smoothing_report, smoothing_rhs)
 from .experiments import (RateFit, SweepConfig, SweepRow, fit_rate,
                           parse_config, run_sweep, run_verify)
 from .reports import BoundCheck, BoundCheckReport

@@ -28,7 +28,7 @@ from .functionals import moment_Mp, small_ball
 from .quadrature import block_rows
 from .reports import BoundCheck, BoundCheckReport
 from .rng import make_rng, master_seed
-from .sphere_law import Direction, jn_table, sample_direction
+from .sphere_law import jn_table, sample_direction
 from .systems import SystemSpec, direction_cf, squared_norms
 from .distributions import compress_atoms, equal_mass_starts, mean_theta_distance
 
@@ -69,13 +69,6 @@ class CharFnEstimate:
             for t, v, s in zip(self.t, self.values, self.se)
         ]
         return header, rows
-
-
-def charfn_weighted_sum(spec: SystemSpec, theta: Direction, t_grid) -> CharFnEstimate:
-    """The exact cf of <X, theta> on the grid (standard error 0, no samples)."""
-    t = np.asarray(t_grid, dtype=float)
-    return CharFnEstimate(t=t, values=direction_cf(spec, theta, t),
-                          se=np.zeros(t.shape), budget=0)
 
 
 def charfn_typical(spec: SystemSpec, t_grid, radial_budget: int = 100_000,

@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="mean Kolmogorov distance over directions")
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--target", required=True, choices=["F", "phi", "G"])
+    p.add_argument("--target", required=True, choices=ex.TARGETS)
     p.add_argument("--theta-budget", type=int, default=ex.DEFAULT_THETA_BUDGET)
     p.add_argument("--per-theta", type=int, default=ex.DEFAULT_PER_THETA)
     p.add_argument("--radial", type=int, default=ex.DEFAULT_RADIAL)

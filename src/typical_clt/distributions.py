@@ -7,10 +7,10 @@ CDF or the sphere-coordinate CDF for a given dimension, so a mixture is
 continuous.  Its atoms are r = |X|/sqrt(n), positive almost surely, or
 the single atom r = 1 of a fixed-norm system.
 
-Kolmogorov distances are exact for step-vs-step and step-vs-mixture
-inputs (the sup is attained at a jump of the step CDF, where both of its
-one-sided limits are checked); mixture-vs-mixture distances use a fixed
-grid with local refinement.
+The Kolmogorov distance is computed between a step CDF and a mixture,
+the one pair every command compares.  It is exact: the sup is attained
+at a jump of the step CDF, where both of its one-sided limits are
+checked.
 
 Mixtures with many atoms are evaluated through a compression of the
 atoms into equal-width radius cells plus a dense lookup table; small
@@ -60,9 +60,6 @@ COMPRESS_ATOMS = 2048  # ceiling of a lookup table's atom count
 TABLE_TOL = 1e-6       # certified sup distance of a table from its mixture
 LUT_POINTS = 32768
 GAUSSIAN_SPAN_FACTOR = 12.0
-# mixture-vs-mixture sup: grid size and the number of grid maxima refined
-KS_GRID_POINTS = 8193
-KS_REFINE = 24
 
 
 def noise_floor(per_theta_budget: int) -> float:
@@ -120,11 +117,6 @@ class StepCDF:
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.searchsorted(self.values, x, side="right") / self.count
-
-    def cdf_left(self, x) -> np.ndarray:
-        """Left limits F(x-)."""
-        x = np.asarray(x, dtype=float)
-        return np.searchsorted(self.values, x, side="left") / self.count
 
 
 # ---------------------------------------------------------------------------
@@ -370,24 +362,18 @@ class DistanceReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _ks_step_step(a: StepCDF, b: StepCDF) -> DistanceReport:
-    pts = np.unique(np.concatenate([a.values, b.values]))
-    d_right = np.abs(a.cdf(pts) - b.cdf(pts))
-    d_left = np.abs(a.cdf_left(pts) - b.cdf_left(pts))
-    d = np.maximum(d_right, d_left)
-    i = int(np.argmax(d))
-    return DistanceReport(rho=float(d[i]), location=float(pts[i]),
-                          metadata={"points": pts.size})
-
-
-def _ks_step_mixture(step: StepCDF, mix: MixtureCDF) -> DistanceReport:
+def kolmogorov_distance(u, v) -> DistanceReport:
+    """sup-norm distance between a step CDF and a mixture, in either order."""
+    step, mix = (v, u) if isinstance(u, MixtureCDF) else (u, v)
+    if not (isinstance(step, StepCDF) and isinstance(mix, MixtureCDF)):
+        raise DomainError(f"cannot compare {type(u).__name__} with {type(v).__name__}")
     # the jump points are the distinct sorted values; at the i-th one,
     # F(x-) = counts[i] counts the values before it and F(x) = counts[i + 1]
-    v = step.values
-    is_first = np.concatenate(([True], v[1:] != v[:-1]))
-    pts = v[is_first]
+    x = step.values
+    is_first = np.concatenate(([True], x[1:] != x[:-1]))
+    pts = x[is_first]
     m = mix.cdf(pts)  # continuous: one value serves both one-sided limits
-    counts = np.append(np.flatnonzero(is_first), v.size) / step.count
+    counts = np.append(np.flatnonzero(is_first), x.size) / step.count
     # as F(x-) <= F(x), max(|F(x) - m|, |F(x-) - m|) = max(F(x) - m, m - F(x-))
     d = counts[1:] - m
     np.maximum(d, m - counts[:-1], out=d)
@@ -396,44 +382,6 @@ def _ks_step_mixture(step: StepCDF, mix: MixtureCDF) -> DistanceReport:
     if mix.tabulates(pts.size):
         metadata.update(table_atoms=mix.table_atoms, table_bound=mix.table_bound)
     return DistanceReport(rho=float(d[i]), location=float(pts[i]), metadata=metadata)
-
-
-def _ks_mixture_mixture(a: MixtureCDF, b: MixtureCDF) -> DistanceReport:
-    from scipy.optimize import minimize_scalar
-
-    span = max(a.span, b.span)
-    xs = np.linspace(-span, span, KS_GRID_POINTS)
-    diff = np.abs(a.cdf(xs) - b.cdf(xs))
-    best_val = float(diff.max())
-    best_x = float(xs[int(np.argmax(diff))])
-    top = np.argsort(diff)[-KS_REFINE:]
-    h = xs[1] - xs[0]
-    for i in top:
-        lo, hi = xs[i] - h, xs[i] + h
-
-        def neg(x):
-            return -abs(float(a.cdf(float(x))) - float(b.cdf(float(x))))
-
-        res = minimize_scalar(neg, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        if -res.fun > best_val:
-            best_val = float(-res.fun)
-            best_x = float(res.x)
-    return DistanceReport(rho=best_val, location=best_x,
-                          metadata={"grid_points": KS_GRID_POINTS, "refined": KS_REFINE})
-
-
-def kolmogorov_distance(u, v) -> DistanceReport:
-    """sup-norm distance between two CDFs (step or mixture, any combination)."""
-    if isinstance(u, StepCDF) and isinstance(v, StepCDF):
-        return _ks_step_step(u, v)
-    if isinstance(u, StepCDF) and isinstance(v, MixtureCDF):
-        return _ks_step_mixture(u, v)
-    if isinstance(u, MixtureCDF) and isinstance(v, StepCDF):
-        return _ks_step_mixture(v, u)
-    if isinstance(u, MixtureCDF) and isinstance(v, MixtureCDF):
-        return _ks_mixture_mixture(u, v)
-    raise DomainError(f"cannot compare {type(u).__name__} with {type(v).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,10 @@ _CONFIG_SCHEMA = {
 def parse_config(path: str) -> SweepConfig:
     """Read a sweep config file ([system], [sweep], [budgets] sections)."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigurationError(f"config file not found: {path}")
     for section in parser.sections():
@@ -118,7 +121,7 @@ def parse_config(path: str) -> SweepConfig:
             kwargs["per_theta_budget"] = int(budgets["per_theta"])
         if "radial" in budgets:
             kwargs["radial_budget"] = int(budgets["radial"])
-    except ValueError as exc:
+    except (ValueError, configparser.Error) as exc:  # a bad number or interpolation
         raise ConfigurationError(f"bad config value: {exc}") from exc
     return SweepConfig(**kwargs)
 

@@ -12,6 +12,8 @@ import io
 import os
 from dataclasses import dataclass, field
 
+from .errors import ConfigurationError
+
 CSV_VERSION_COMMENT = "# typical-clt v1"
 
 # Standard errors of slack granted to the Monte Carlo side of every check.
@@ -97,8 +99,11 @@ def render_csv(header, rows) -> str:
 
 
 def write_csv(path, header, rows) -> None:
+    """Write the CSV, creating its directory; ConfigurationError if it cannot."""
     text = render_csv(header, rows)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc

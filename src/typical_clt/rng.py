@@ -3,9 +3,9 @@
 Every stochastic routine in the package takes either an integer master
 seed or a ready ``numpy.random.Generator``; `as_rng` and `master_seed`
 turn either into a generator or a seed and reject anything else.
-Parallel work units (shards, theta draws, sweep cells) derive their own
-child seed from the master seed plus a tuple of keys, so results never
-depend on scheduling order or thread count.
+Parallel work units (theta draws, sweep and verify cells) derive their
+own child seed from the master seed plus a tuple of keys, so results
+never depend on scheduling order or thread count.
 """
 
 from __future__ import annotations

@@ -4,10 +4,9 @@ A system is one of the catalog kinds in KINDS and a dimension n; the
 kind and n fix everything else (the Walsh characters, the anisotropic
 covariance).  Every system is centered with E|X|^2 = n: unit-variance
 coordinates, or for the anisotropic Gaussian covariance eigenvalues
-rescaled to sum to n (up to rounding).  Samplers are deterministic
-given (spec, integer seed): large batches are sharded with per-shard
-derived seeds, so the assembled matrix never depends on execution
-order.
+rescaled to sum to n (up to rounding).  Samplers draw every row from
+one generator, `as_rng(rng)`, so they are deterministic given (spec,
+integer seed).
 
 `project` returns the weighted sums <X, theta> from the same draws as
 `weighted_sum(sample_vector(...))`, and `squared_norms` the |X|^2 of
@@ -20,11 +19,11 @@ time (see `_reduce_blocks`), unless the kind has a matrix-free form:
   z^(k-1), evaluated by Horner's rule (the complex form of Clenshaw's
   summation); equal to the matrix path up to rounding;
 - walsh: each drawn sign row is packed into an index b of the 2^m cube
-  and looked up in v = (cube rows) @ theta, built once per call; used
-  when 2^m <= count.  It is bit for bit the matrix path, except on rows
-  that BLAS evaluates in a 2-row remainder block of its matvec kernel
-  (which ones depends on the count and the BLAS thread count), where
-  the matrix path itself rounds differently.
+  and looked up in v = (cube rows) @ theta, built once per call.  It is
+  bit for bit the matrix path, except on rows that BLAS evaluates in a
+  2-row remainder block of its matvec kernel (which ones depends on the
+  count and the BLAS thread count), where the matrix path itself rounds
+  differently.
 
 Blocks hold a multiple of 8 rows, so with one BLAS thread the blocked
 matvec puts its remainder rows where the one-shot matvec does and is
@@ -45,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericKernelError
-from .rng import as_rng, make_rng
+from .rng import as_rng
 from .sphere_law import Direction
 
 SQRT3 = math.sqrt(3.0)
@@ -58,7 +57,6 @@ SHORT_NAMES = {"trigonometric": "trig", "fixed_norm_rademacher": "fixed_norm",
                "gaussian_anisotropic": "aniso"}
 KIND_OF_SHORT_NAME = {short: kind for kind, short in SHORT_NAMES.items()}
 
-SHARD_SIZE = 1 << 16
 # Entries of one streamed block of rows, 4 MB of float64.  Blocks of
 # quadrature.block_rows' 4e6 entries (32 MB) sit just under glibc's
 # 32 MiB mmap ceiling: freeing one raises the dynamic mmap threshold to
@@ -127,10 +125,6 @@ class SampleBatch:
     matrix: np.ndarray
     spec: SystemSpec
 
-    @property
-    def count(self) -> int:
-        return self.matrix.shape[0]
-
 
 def _sample_rows(spec: SystemSpec, count: int, gen: np.random.Generator) -> np.ndarray:
     n = spec.n
@@ -181,32 +175,16 @@ def _walsh_rows(n: int, bits: np.ndarray) -> np.ndarray:
     return _walsh_table(n)[bits @ (1 << np.arange(bits.shape[1]))]
 
 
-def _in_shards(draw, count: int, rng, width: tuple = ()) -> np.ndarray:
-    """draw(rows, generator) for `count` rows.
-
-    With an integer seed, batches above the shard size are drawn in
-    independent shards whose seeds derive from (seed, shard index); the
-    assembled array is identical whatever order shards run in.
-    """
+def _draw(draw, count: int, rng) -> np.ndarray:
+    """draw(count, generator) for `count` rows, all from one generator."""
     if count < 1:
         raise ConfigurationError(f"sample count must be positive, got {count}")
-    if isinstance(rng, (int, np.integer)) and count > SHARD_SIZE:
-        out = np.empty((count, *width))
-        for shard, lo in enumerate(range(0, count, SHARD_SIZE)):
-            hi = min(lo + SHARD_SIZE, count)
-            out[lo:hi] = draw(hi - lo, make_rng(int(rng), "shard", shard))
-        return out
     return draw(count, as_rng(rng))
 
 
 def sample_vector(spec: SystemSpec, count: int, rng) -> SampleBatch:
-    """Draw `count` i.i.d. rows from the law of X.
-
-    With an integer seed, batches above the shard size are drawn in
-    shards (see `_in_shards`), so the matrix never depends on run order.
-    """
-    matrix = _in_shards(lambda rows, gen: _sample_rows(spec, rows, gen), count, rng,
-                        (spec.n,))
+    """Draw `count` i.i.d. rows from the law of X."""
+    matrix = _draw(lambda rows, gen: _sample_rows(spec, rows, gen), count, rng)
     return SampleBatch(matrix=matrix, spec=spec)
 
 
@@ -274,7 +252,7 @@ def _reduce_blocks(spec: SystemSpec, count: int, rng, reduce) -> np.ndarray:
             out[lo:hi] = reduce(sample_vector(spec, hi - lo, gen))
         return out
 
-    return _in_shards(draw, count, rng)
+    return _draw(draw, count, rng)
 
 
 def squared_norms(spec: SystemSpec, count: int, rng) -> np.ndarray:
@@ -294,11 +272,11 @@ def project(spec: SystemSpec, theta: Direction, count: int, rng) -> np.ndarray:
             f"dimension mismatch: system has n={spec.n}, direction has n={theta.n}")
     if spec.kind == "trigonometric":
         draw = _trig_projector(theta)
-    elif spec.kind == "walsh" and (1 << walsh_bits(spec.n)) <= count:
+    elif spec.kind == "walsh":
         draw = _walsh_projector(theta)
     else:
         return _reduce_blocks(spec, count, rng, lambda batch: weighted_sum(batch, theta))
-    return _in_shards(draw, count, rng)
+    return _draw(draw, count, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,28 @@ radial = 2000
         cfg.write_text("[system]\nname = uniform\ncolor = blue\n\n[sweep]\nn_list = 16, 32\n")
         assert run(["sweep", "--config", str(cfg)]) == cli.EXIT_CONFIG_ERROR
 
+    # a config that runs in well under a second; {out} is its output path
+    SMALL_SWEEP = (b"[system]\nname = trig\n[sweep]\nn_list = 8, 16, 32\n"
+                   b"output = {out}\n[budgets]\ntheta = 2\nper_theta = 200\nradial = 200\n")
+
+    # each case spoils one thing of the config or of its output path
+    @pytest.mark.parametrize("config, output", [
+        (b"seed = 5\n" + SMALL_SWEEP, "sweep.csv"),
+        (SMALL_SWEEP + b"theta = 3\n", "sweep.csv"),
+        (SMALL_SWEEP + b"radial\n", "sweep.csv"),
+        (b"# \xe9\n" + SMALL_SWEEP, "sweep.csv"),
+        (SMALL_SWEEP, "a_directory"),
+        (SMALL_SWEEP, "a_file/sweep.csv"),
+    ], ids=["no_section_header", "duplicate_key", "unparsable_line", "not_utf8",
+            "output_is_directory", "output_under_file"])
+    def test_unreadable_config_or_unwritable_output_exit_two(self, tmp_path, config,
+                                                              output):
+        (tmp_path / "a_directory").mkdir()
+        (tmp_path / "a_file").write_text("")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_bytes(config.replace(b"{out}", str(tmp_path / output).encode()))
+        assert run(["sweep", "--config", str(cfg)]) == cli.EXIT_CONFIG_ERROR
+
     def test_fit_unavailable_is_not_an_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
         out = tmp_path / "normal.csv"

@@ -117,19 +117,6 @@ class TestSampling:
         b = sy.sample_vector(spec, 1000, 42)
         assert np.array_equal(a.matrix, b.matrix)
 
-    def test_sharded_batch_deterministic_and_order_free(self):
-        spec = spec_iid("normal", 8)
-        count = sy.SHARD_SIZE * 2 + 17
-        batch = sy.sample_vector(spec, count, 7)
-        assert np.array_equal(batch.matrix, sy.sample_vector(spec, count, 7).matrix)
-        # assembling shards in reverse order gives the same matrix
-        out = np.empty((count, 8))
-        bounds = list(range(0, count, sy.SHARD_SIZE))
-        for shard, lo in reversed(list(enumerate(bounds))):
-            hi = min(lo + sy.SHARD_SIZE, count)
-            out[lo:hi] = sy._sample_rows(spec, hi - lo, make_rng(7, "shard", shard))
-        assert np.array_equal(batch.matrix, out)
-
     @pytest.mark.parametrize("spec, reference", [
         (spec_iid("rademacher", 8),
          lambda gen: gen.integers(0, 2, size=(500, 8)).astype(float) * 2.0 - 1.0),
@@ -153,10 +140,10 @@ class TestSampling:
 class TestSquaredNorms:
     @pytest.mark.parametrize("spec", sy.default_catalog(64), ids=lambda s: s.spec_id)
     def test_bit_identical_to_matrix(self, spec):
-        # 70001 rows from a Generator and SHARD_SIZE + 3 from a seed both
-        # span many blocks
+        # 70001 rows from a Generator and 65539 from a seed both span
+        # many blocks
         for count, rng in ((70_001, lambda: np.random.default_rng(4)),
-                           (sy.SHARD_SIZE + 3, lambda: 11)):
+                           (65_539, lambda: 11)):
             a = sy.squared_norms(spec, count, rng())
             b = np.square(sy.sample_vector(spec, count, rng()).matrix).sum(axis=1)
             assert np.array_equal(a, b)
@@ -223,7 +210,7 @@ FALLBACK_SPECS = [spec for spec in sy.default_catalog(8)
 class TestProject:
     # The walsh lookup equals the matrix path bit for bit where BLAS runs
     # every row of the matrix path through the same matvec kernel: with
-    # counts that are multiples of 4, or one shard of 2^16 plus one row.
+    # counts that are multiples of 4, or 2^16 + 1 rows.
 
     @pytest.mark.parametrize("n", [3, 15, 16, 63])
     def test_walsh_bit_identical(self, n):
@@ -261,7 +248,9 @@ class TestProject:
         spec_iid("uniform", 4),
     ], ids=lambda s: s.spec_id)
     def test_integer_seed_reproduces_shards(self, spec):
-        count = sy.SHARD_SIZE + 1
+        # an integer seed gives one stream for all 2^16 + 1 rows, the
+        # matrix path's
+        count = (1 << 16) + 1
         theta = sample_direction(spec.n, 5)
         a = sy.project(spec, theta, count, 7)
         b = matrix_path(spec, theta, count, 7)
@@ -294,14 +283,6 @@ class TestProject:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-
-    def test_walsh_large_cube_falls_back(self, monkeypatch):
-        # 50 rows are fewer than the 64 rows of the n = 63 cube
-        spec = sy.SystemSpec(kind="walsh", n=63)
-        monkeypatch.setattr(sy, "_walsh_projector", None)  # a lookup would fail
-        theta = sample_direction(63, 5)
-        a = sy.project(spec, theta, 50, 3)
-        assert np.array_equal(a, matrix_path(spec, theta, 50, 3))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
