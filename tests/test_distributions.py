@@ -142,8 +142,12 @@ class TestTableBound:
         mid = 0.5 * (grid[1:] + grid[:-1])[::64]
         gap = np.abs(np.interp(mid, grid, lut) - mix._direct(mid, mix.radii, mix.weights))
         assert gap.max() <= mix.table_bound
-        # a count below the ceiling is certified
-        assert mix.table_atoms == di.COMPRESS_ATOMS or mix.table_bound <= di.TABLE_TOL
+        # a cell count below the ceiling, min(atoms, COMPRESS_ATOMS), is
+        # certified; table_atoms counts only the non-empty cells
+        order = np.argsort(mix.radii)
+        cells, bound = mix._certified_count(mix.radii[order], mix.weights[order])
+        assert bound == mix.table_bound
+        assert cells == min(atoms, di.COMPRESS_ATOMS) or bound <= di.TABLE_TOL
 
     def test_uniform_n16_certifies_few_atoms(self):
         mix = di.typical_cdf(spec_iid("uniform", 16), radial_budget=100_000)
