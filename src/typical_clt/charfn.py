@@ -25,7 +25,7 @@ import numpy as np
 from . import reports
 from .errors import DomainError, InsufficientDataError
 from .functionals import moment_Mp, small_ball
-from .quadrature import block_rows
+from .quadrature import blocks
 from .reports import BoundCheck, BoundCheckReport
 from .rng import make_rng, master_seed
 from .sphere_law import jn_table, sample_direction
@@ -94,14 +94,12 @@ def charfn_typical(spec: SystemSpec, t_grid, radial_budget: int = 100_000,
                                     equal_mass_starts(weights, CF_COMPRESS_ATOMS))
     vals = np.empty(t.shape[0], dtype=complex)
     ses = np.empty(t.shape[0])
-    chunk = block_rows(radii.size)
-    for lo in range(0, t.shape[0], chunk):
-        hi = min(lo + chunk, t.shape[0])
-        jv = jn(t[lo:hi, None] * radii[None, :])
+    for block in blocks(t.shape[0], radii.size):
+        jv = jn(t[block, None] * radii[None, :])
         mean = jv @ weights
         var = np.square(jv - mean[:, None]) @ weights
-        vals[lo:hi] = mean
-        ses[lo:hi] = np.sqrt(var / radial_budget)
+        vals[block] = mean
+        ses[block] = np.sqrt(var / radial_budget)
     return CharFnEstimate(t=t, values=vals, se=ses, budget=radial_budget)
 
 
@@ -196,23 +194,14 @@ def _integrand_over_t(t: np.ndarray, numer: np.ndarray, lo: float, hi: float,
     (numer vanishes linearly at 0, so the ratio has a finite limit).
     """
     inside = (t > lo) & (t < hi)
-    ts = t[inside]
-    gs = numer[inside] / ts
-    pieces_t = [ts]
-    pieces_g = [gs]
     if lo == 0.0 and extrapolate_zero:
         t1, t2 = t[0], t[1]
         g1, g2 = numer[0] / t1, numer[1] / t2
-        g0 = g1 - t1 * (g2 - g1) / (t2 - t1)
-        pieces_t.insert(0, np.array([0.0]))
-        pieces_g.insert(0, np.array([max(g0, 0.0)]))
+        g_lo = max(g1 - t1 * (g2 - g1) / (t2 - t1), 0.0)
     else:
-        pieces_t.insert(0, np.array([lo]))
-        pieces_g.insert(0, np.array([np.interp(lo, t, numer) / max(lo, GRID_T_MIN)]))
-    pieces_t.append(np.array([hi]))
-    pieces_g.append(np.array([np.interp(hi, t, numer) / hi]))
-    tt = np.concatenate(pieces_t)
-    gg = np.concatenate(pieces_g)
+        g_lo = np.interp(lo, t, numer) / max(lo, GRID_T_MIN)
+    tt = np.concatenate([[lo], t[inside], [hi]])
+    gg = np.concatenate([[g_lo], numer[inside] / t[inside], [np.interp(hi, t, numer) / hi]])
     return float(np.trapezoid(gg, tt))
 
 

@@ -16,7 +16,7 @@ from . import experiments as ex
 from . import functionals as fn
 from .errors import (ConfigurationError, DomainError, FitUnavailableError,
                      InsufficientDataError, NumericKernelError)
-from .reports import format_row, write_csv
+from .reports import check_output, format_row, write_csv
 from .systems import built_in_spec
 
 EXIT_OK = 0
@@ -175,6 +175,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG_ERROR if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "output", None) is not None:  # sweep's is in its config
+            check_output(args.output)
         return _COMMANDS[args.command](args)
     except (ConfigurationError, DomainError, InsufficientDataError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

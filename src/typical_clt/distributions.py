@@ -46,7 +46,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigurationError, DomainError, InsufficientDataError
-from .quadrature import block_rows, kernel_sum
+from .quadrature import kernel_sum
 from .rng import make_rng, master_seed
 from .sphere_law import cdf_table, log_norm_const, sample_direction
 from .systems import SystemSpec, project, squared_norms
@@ -257,8 +257,7 @@ class MixtureCDF:
     # -- evaluation ---------------------------------------------------------
 
     def _direct(self, x: np.ndarray, radii: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return kernel_sum(lambda xs, r: self._kernel_cdf(xs / r), x, radii, weights,
-                          chunk=block_rows(radii.size))
+        return kernel_sum(lambda xs, r: self._kernel_cdf(xs / r), x, radii, weights)
 
     def _certified_count(self, r: np.ndarray, w: np.ndarray) -> tuple[int, float]:
         """A cell count whose table bound is <= TABLE_TOL, and that bound.

@@ -30,7 +30,7 @@ from . import functionals as fn
 from . import reports
 from . import sphere_law as sl
 from .errors import ConfigurationError, FitUnavailableError
-from .reports import BoundCheck, BoundCheckReport, write_csv
+from .reports import BoundCheck, BoundCheckReport, check_output, write_csv
 from .rng import make_rng, master_seed
 from .systems import SystemSpec, built_in_spec, default_catalog, squared_norms
 
@@ -77,10 +77,20 @@ class SweepConfig:
             built_in_spec(self.system, n)
 
 
-_CONFIG_SCHEMA = {
-    "system": {"name"},
-    "sweep": {"n_list", "target", "seed", "output"},
-    "budgets": {"theta", "per_theta", "radial"},
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.replace(" ", "").split(","))
+
+
+# (section, key) of a config file -> (SweepConfig field, parser of its text)
+_CONFIG_KEYS = {
+    ("system", "name"): ("system", str),
+    ("sweep", "n_list"): ("n_list", _int_list),
+    ("sweep", "target"): ("target", str),
+    ("sweep", "seed"): ("seed", int),
+    ("sweep", "output"): ("output", str),
+    ("budgets", "theta"): ("theta_budget", int),
+    ("budgets", "per_theta"): ("per_theta_budget", int),
+    ("budgets", "radial"): ("radial_budget", int),
 }
 
 
@@ -94,9 +104,9 @@ def parse_config(path: str) -> SweepConfig:
     if not read:
         raise ConfigurationError(f"config file not found: {path}")
     for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
+        if section not in {known for known, _ in _CONFIG_KEYS}:
             raise ConfigurationError(f"unknown config section [{section}]")
-        unknown = set(parser[section]) - _CONFIG_SCHEMA[section]
+        unknown = {key for key in parser[section] if (section, key) not in _CONFIG_KEYS}
         if unknown:
             raise ConfigurationError(
                 f"unknown keys in [{section}]: {sorted(unknown)}")
@@ -104,23 +114,10 @@ def parse_config(path: str) -> SweepConfig:
         raise ConfigurationError("config needs [system] name = <catalog name>")
     if "sweep" not in parser or "n_list" not in parser["sweep"]:
         raise ConfigurationError("config needs [sweep] n_list = n1,n2,...")
-    sweep = parser["sweep"]
-    budgets = parser["budgets"] if "budgets" in parser else {}
     try:
-        n_list = tuple(int(tok) for tok in sweep["n_list"].replace(" ", "").split(","))
-        kwargs = dict(
-            system=parser["system"]["name"],
-            n_list=n_list,
-            target=sweep.get("target", "phi"),
-            seed=int(sweep.get("seed", DEFAULT_SEED)),
-            output=sweep.get("output", "sweep.csv"),
-        )
-        if "theta" in budgets:
-            kwargs["theta_budget"] = int(budgets["theta"])
-        if "per_theta" in budgets:
-            kwargs["per_theta_budget"] = int(budgets["per_theta"])
-        if "radial" in budgets:
-            kwargs["radial_budget"] = int(budgets["radial"])
+        kwargs = {field: parse(parser[section][key])
+                  for (section, key), (field, parse) in _CONFIG_KEYS.items()
+                  if parser.has_option(section, key)}
     except (ValueError, configparser.Error) as exc:  # a bad number or interpolation
         raise ConfigurationError(f"bad config value: {exc}") from exc
     return SweepConfig(**kwargs)
@@ -196,6 +193,8 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> RateFit:
     it.  Raises FitUnavailableError, after writing both files, when fewer
     than 3 rows clear the noise floor.
     """
+    for path in (config.output, _summary_path(config.output)):
+        check_output(path)
     detail_rows = []
     summary = []
     for n in config.n_list:

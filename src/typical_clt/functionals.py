@@ -18,6 +18,7 @@ refinement; that is a lower-bound estimate and is flagged as such.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -25,12 +26,12 @@ import numpy as np
 
 from . import reports
 from .errors import DomainError, InsufficientDataError, NumericKernelError
+from .quadrature import blocks
 from .reports import BoundCheck, BoundCheckReport
 from .rng import as_rng, make_rng
 from .systems import SystemSpec, sample_vector, spiked_eigenvalues, squared_norms
 
 BOOTSTRAP_REPS = 200
-PAIR_BLOCK = 1 << 16
 SEARCH_DIRECTIONS = 64  # random candidates of the M_p search
 
 
@@ -187,7 +188,7 @@ def moment_Mp(spec: SystemSpec, p: float, budget: int = 20000, rng=0) -> MomentE
 # ---------------------------------------------------------------------------
 
 def _pair_inner_products(spec: SystemSpec, pairs: int, rng) -> np.ndarray:
-    """<X_i, Y_i> over `pairs` independent pairs, PAIR_BLOCK rows at a time.
+    """<X_i, Y_i> over `pairs` independent pairs, a `quadrature.blocks` block at a time.
 
     X and Y are the one-shot draws sample_vector(spec, pairs, g) of
     g = as_rng(rng, "pairs_x") and as_rng(rng, "pairs_y"); a block drawn
@@ -197,19 +198,15 @@ def _pair_inner_products(spec: SystemSpec, pairs: int, rng) -> np.ndarray:
     state draws the X that is used.
     """
     gen_x, gen_y = as_rng(rng, "pairs_x"), as_rng(rng, "pairs_y")
-    starts = range(0, pairs, PAIR_BLOCK)
     if gen_x is gen_y:
-        bits = type(gen_y.bit_generator)()
-        bits.state = gen_y.bit_generator.state
-        gen_x = np.random.Generator(bits)
-        for lo in starts:
-            sample_vector(spec, min(PAIR_BLOCK, pairs - lo), gen_y)
+        gen_x = copy.deepcopy(gen_y)
+        for block in blocks(pairs, spec.n):
+            sample_vector(spec, block.stop - block.start, gen_y)
     out = np.empty(pairs)
-    for lo in starts:
-        hi = min(lo + PAIR_BLOCK, pairs)
-        x = sample_vector(spec, hi - lo, gen_x).matrix
-        y = sample_vector(spec, hi - lo, gen_y).matrix
-        out[lo:hi] = np.einsum("ij,ij->i", x, y)
+    for block in blocks(pairs, spec.n):
+        x = sample_vector(spec, block.stop - block.start, gen_x).matrix
+        y = sample_vector(spec, block.stop - block.start, gen_y).matrix
+        out[block] = np.einsum("ij,ij->i", x, y)
     return out
 
 
@@ -313,18 +310,22 @@ def small_ball(spec: SystemSpec, budget: int = 20000, rng=0) -> SmallBallResult:
     that is 4^2 m_2^2 / n + 4^4 s_4^4 / n^2, evaluated from estimates on
     the same pair sample.
     """
-    bx = sample_vector(spec, budget, as_rng(rng, "sb_x"))
-    by = sample_vector(spec, budget, as_rng(rng, "sb_y"))
+    x = sample_vector(spec, budget, as_rng(rng, "sb_x")).matrix
+    y = sample_vector(spec, budget, as_rng(rng, "sb_y")).matrix
     n = spec.n
-    diff2 = np.square(bx.matrix - by.matrix).sum(axis=1)
+    diff2, ip, sq = np.empty(budget), np.empty(budget), np.empty(budget)
+    for b in blocks(budget, n):  # |X - Y|^2, <X, Y> and |X|^2, row by row
+        diff2[b] = np.square(x[b] - y[b]).sum(axis=1)
+        ip[b] = np.einsum("ij,ij->i", x[b], y[b])
+        sq[b] = np.square(x[b]).sum(axis=1)
     hits = diff2 <= n / 4.0
     emp = float(hits.mean())
     se = math.sqrt(emp * (1.0 - emp) / budget)
 
-    ip2 = np.square(np.einsum("ij,ij->i", bx.matrix, by.matrix))
+    ip2 = np.square(ip)
     # 4^2 m_2^2 / n = 16 E<X,Y>^2 / n^2
     term1 = 16.0 * ip2.mean() / n ** 2
-    dev = np.square(np.square(bx.matrix).sum(axis=1) / n - 1.0)
+    dev = np.square(sq / n - 1.0)
     # sigma_4^4 / n^2 = (E dev)^2 by the definition of sigma_4
     term2 = 256.0 * dev.mean() ** 2
     bound = float(term1 + term2)

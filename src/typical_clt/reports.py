@@ -98,6 +98,15 @@ def render_csv(header, rows) -> str:
     return buf.getvalue()
 
 
+def check_output(path) -> None:
+    """ConfigurationError if `path` is a directory or under a file; touches nothing."""
+    above = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(above):
+        above = os.path.dirname(above)
+    if os.path.isdir(path) or not os.path.isdir(above):
+        raise ConfigurationError(f"cannot write {path}: a directory, or under a file")
+
+
 def write_csv(path, header, rows) -> None:
     """Write the CSV, creating its directory; ConfigurationError if it cannot."""
     text = render_csv(header, rows)

@@ -185,9 +185,8 @@ def _jn_rule(n: int, max_arg: float, panels: int | None = None):
     return sin_u, g, panels
 
 
-def _jn_apply(sin_u, g, args) -> np.ndarray:
-    args = np.atleast_1d(np.asarray(args, dtype=float))
-    return kernel_sum(lambda s, x: np.cos(s * x), args, sin_u, g, chunk=256)
+def _jn_apply(sin_u, g, args: np.ndarray) -> np.ndarray:
+    return kernel_sum(lambda s, x: np.cos(s * x), args, sin_u, g)
 
 
 def charfn_Jn_grid(n: int, args) -> np.ndarray:

@@ -10,9 +10,9 @@ integer seed).
 
 `project` returns the weighted sums <X, theta> from the same draws as
 `weighted_sum(sample_vector(...))`, and `squared_norms` the |X|^2 of
-those draws.  Neither forms the whole N x n matrix for any kind: rows
-are drawn and reduced a block of at most STREAM_ENTRIES / n rows at a
-time (see `_reduce_blocks`), unless the kind has a matrix-free form:
+those draws.  Neither forms the whole N x n matrix for any kind: `_draw`
+draws and reduces the rows one `quadrature.blocks` block of n entries
+per row at a time, or fewer where the kind has a matrix-free form:
 
 - trigonometric: at the drawn frequencies w, <X, theta> = Re(z P(z))
   with z = e^(iw) and P(z) = sum_k sqrt2 (theta_(2k-1) - i theta_(2k))
@@ -25,9 +25,9 @@ time (see `_reduce_blocks`), unless the kind has a matrix-free form:
   count and the BLAS thread count), where the matrix path itself rounds
   differently.
 
-Blocks hold a multiple of 8 rows, so with one BLAS thread the blocked
-matvec puts its remainder rows where the one-shot matvec does and is
-bit for bit the matrix path; squared norms are bit for bit in any case.
+By the block rule of `quadrature`, with one BLAS thread the blocked
+matvec is bit for bit the matrix path; squared norms are bit for bit in
+any case.
 
 `direction_cf` is the exact cf of <X, theta> for every kind, from the
 same tables: the Walsh values of the lookup above, and for trig the
@@ -44,6 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericKernelError
+from .quadrature import blocks
 from .rng import as_rng
 from .sphere_law import Direction
 
@@ -57,12 +58,6 @@ SHORT_NAMES = {"trigonometric": "trig", "fixed_norm_rademacher": "fixed_norm",
                "gaussian_anisotropic": "aniso"}
 KIND_OF_SHORT_NAME = {short: kind for kind, short in SHORT_NAMES.items()}
 
-# Entries of one streamed block of rows, 4 MB of float64.  Blocks of
-# quadrature.block_rows' 4e6 entries (32 MB) sit just under glibc's
-# 32 MiB mmap ceiling: freeing one raises the dynamic mmap threshold to
-# its size, and the heap then keeps later blocks (on a 2-vCPU Linux VM,
-# verify --suite all peaked at 557 MB with them and 477 MB with these).
-STREAM_ENTRIES = 500_000
 # Most equispaced frequencies the trigonometric cf may double up to, and
 # how closely the cfs of two successive grids must agree.
 TRIG_CF_MAX_POINTS = 1 << 20
@@ -175,17 +170,29 @@ def _walsh_rows(n: int, bits: np.ndarray) -> np.ndarray:
     return _walsh_table(n)[bits @ (1 << np.arange(bits.shape[1]))]
 
 
-def _draw(draw, count: int, rng) -> np.ndarray:
-    """draw(count, generator) for `count` rows, all from one generator."""
+def _check_count(count: int) -> None:
     if count < 1:
         raise ConfigurationError(f"sample count must be positive, got {count}")
-    return draw(count, as_rng(rng))
 
 
 def sample_vector(spec: SystemSpec, count: int, rng) -> SampleBatch:
     """Draw `count` i.i.d. rows from the law of X."""
-    matrix = _draw(lambda rows, gen: _sample_rows(spec, rows, gen), count, rng)
-    return SampleBatch(matrix=matrix, spec=spec)
+    _check_count(count)
+    return SampleBatch(matrix=_sample_rows(spec, count, as_rng(rng)), spec=spec)
+
+
+def _draw(draw, count: int, rng, width: int) -> np.ndarray:
+    """draw(rows, generator), one value per row, over `count` rows in blocks.
+
+    The blocks of `width` entries per row (those of draw's largest
+    temporary) all come from as_rng(rng): the rows of one draw of `count`.
+    """
+    _check_count(count)
+    gen = as_rng(rng)
+    out = np.empty(count)
+    for block in blocks(count, width):
+        out[block] = draw(block.stop - block.start, gen)
+    return out
 
 
 def weighted_sum(batch: SampleBatch, theta: Direction) -> np.ndarray:
@@ -236,29 +243,13 @@ def _walsh_projector(theta: Direction):
     return draw
 
 
-def _reduce_blocks(spec: SystemSpec, count: int, rng, reduce) -> np.ndarray:
-    """reduce(batch) over the rows of sample_vector(spec, count, rng), by blocks.
-
-    Draws the same rows as `sample_vector`, STREAM_ENTRIES / n of them
-    at a time rounded down to a multiple of 8, and reduces each block to
-    one value per row before drawing the next.
-    """
-    step = max(8, STREAM_ENTRIES // spec.n // 8 * 8)
-
-    def draw(rows: int, gen: np.random.Generator) -> np.ndarray:
-        out = np.empty(rows)
-        for lo in range(0, rows, step):
-            hi = min(lo + step, rows)
-            out[lo:hi] = reduce(sample_vector(spec, hi - lo, gen))
-        return out
-
-    return _draw(draw, count, rng)
-
-
 def squared_norms(spec: SystemSpec, count: int, rng) -> np.ndarray:
     """|X|^2 of each row of sample_vector(spec, count, rng), bit for bit."""
-    return _reduce_blocks(spec, count, rng,
-                          lambda batch: np.add.reduce(batch.matrix * batch.matrix, axis=1))
+    def draw(rows: int, gen: np.random.Generator) -> np.ndarray:
+        x = sample_vector(spec, rows, gen).matrix
+        return np.add.reduce(x * x, axis=1)
+
+    return _draw(draw, count, rng, spec.n)
 
 
 def project(spec: SystemSpec, theta: Direction, count: int, rng) -> np.ndarray:
@@ -270,13 +261,12 @@ def project(spec: SystemSpec, theta: Direction, count: int, rng) -> np.ndarray:
     if spec.n != theta.n:
         raise DomainError(
             f"dimension mismatch: system has n={spec.n}, direction has n={theta.n}")
-    if spec.kind == "trigonometric":
-        draw = _trig_projector(theta)
-    elif spec.kind == "walsh":
-        draw = _walsh_projector(theta)
-    else:
-        return _reduce_blocks(spec, count, rng, lambda batch: weighted_sum(batch, theta))
-    return _draw(draw, count, rng)
+    if spec.kind == "trigonometric":  # z and p: one complex per row
+        return _draw(_trig_projector(theta), count, rng, 2)
+    if spec.kind == "walsh":  # the m sign bits of a row
+        return _draw(_walsh_projector(theta), count, rng, walsh_bits(spec.n))
+    return _draw(lambda rows, gen: weighted_sum(sample_vector(spec, rows, gen), theta),
+                 count, rng, spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +283,10 @@ _COORDINATE_CF = {
 
 
 def _over_t(t: np.ndarray, width: int, f) -> np.ndarray:
-    """f(t_block[:, None]) for every t, in blocks of at most STREAM_ENTRIES / width points."""
+    """f(t_block[:, None]) for every t, a `quadrature.blocks` block of t at a time."""
     out = np.empty(t.shape[0], dtype=complex)
-    step = max(1, STREAM_ENTRIES // width)
-    for lo in range(0, t.shape[0], step):
-        out[lo:lo + step] = f(t[lo:lo + step, None])
+    for block in blocks(t.shape[0], width):
+        out[block] = f(t[block, None])
     return out
 
 

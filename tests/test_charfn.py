@@ -117,7 +117,7 @@ class TestTypicalCf:
         xs = np.linspace(-mix.span, mix.span, 2 ** 16 + 1)
         # mixture density: sum_i w_i phi_n(x / r_i) / r_i
         dens = kernel_sum(lambda x, r: density(32, x / r), xs, radii,
-                          weights / weights.sum() / radii, chunk=2000)
+                          weights / weights.sum() / radii)
         ft = np.array([np.trapezoid(np.cos(tt * xs) * dens, xs) for tt in est.t])
         assert np.abs(est.values.real - ft).max() <= 1e-3
 

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from typical_clt import cli
+from typical_clt import distributions as di
+from typical_clt import experiments as ex
 
 
 def run(argv):
@@ -78,23 +80,45 @@ radial = 2000
     SMALL_SWEEP = (b"[system]\nname = trig\n[sweep]\nn_list = 8, 16, 32\n"
                    b"output = {out}\n[budgets]\ntheta = 2\nper_theta = 200\nradial = 200\n")
 
-    # each case spoils one thing of the config or of its output path
-    @pytest.mark.parametrize("config, output", [
-        (b"seed = 5\n" + SMALL_SWEEP, "sweep.csv"),
-        (SMALL_SWEEP + b"theta = 3\n", "sweep.csv"),
-        (SMALL_SWEEP + b"radial\n", "sweep.csv"),
-        (b"# \xe9\n" + SMALL_SWEEP, "sweep.csv"),
-        (SMALL_SWEEP, "a_directory"),
-        (SMALL_SWEEP, "a_file/sweep.csv"),
+    # each case spoils one thing of the config or of its output path; a
+    # sweep's config sets its output, the other commands take --output
+    @pytest.mark.parametrize("command, config, output", [
+        ("sweep", b"seed = 5\n" + SMALL_SWEEP, "sweep.csv"),
+        ("sweep", SMALL_SWEEP + b"theta = 3\n", "sweep.csv"),
+        ("sweep", SMALL_SWEEP + b"radial\n", "sweep.csv"),
+        ("sweep", b"# \xe9\n" + SMALL_SWEEP, "sweep.csv"),
+        ("sweep", SMALL_SWEEP, "a_directory"),
+        ("sweep", SMALL_SWEEP, "a_file/sweep.csv"),
+        ("verify", None, "a_directory"),
+        ("verify", None, "a_file/new/verify.csv"),
+        ("distance", None, "a_directory"),
+        ("distance", None, "a_file/dist.csv"),
     ], ids=["no_section_header", "duplicate_key", "unparsable_line", "not_utf8",
-            "output_is_directory", "output_under_file"])
-    def test_unreadable_config_or_unwritable_output_exit_two(self, tmp_path, config,
-                                                              output):
+            "output_is_directory", "output_under_file",
+            "verify_output_is_directory", "verify_output_under_file",
+            "distance_output_is_directory", "distance_output_under_file"])
+    def test_unreadable_config_or_unwritable_output_exit_two(
+            self, tmp_path, monkeypatch, command, config, output):
+        def cell(*args, **kwargs):
+            raise AssertionError("a cell ran before the output was checked")
+
+        # every sweep and distance cell, and the verify suite below, fail
+        monkeypatch.setattr(di, "mean_theta_distance", cell)
+        monkeypatch.setitem(ex.SUITES, "tail", lambda scale, seed: [cell])
         (tmp_path / "a_directory").mkdir()
         (tmp_path / "a_file").write_text("")
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_bytes(config.replace(b"{out}", str(tmp_path / output).encode()))
-        assert run(["sweep", "--config", str(cfg)]) == cli.EXIT_CONFIG_ERROR
+        out = str(tmp_path / output)
+        if command == "sweep":
+            cfg = tmp_path / "cfg.ini"
+            cfg.write_bytes(config.replace(b"{out}", out.encode()))
+            argv = ["sweep", "--config", str(cfg)]
+        elif command == "verify":
+            argv = ["verify", "--suite", "tail", "--output", out]
+        else:
+            argv = ["distance", "--spec", "trig", "--n", "8", "--target", "phi",
+                    "--output", out]
+        assert run(argv) == cli.EXIT_CONFIG_ERROR
+        assert (tmp_path / "a_file").read_text() == ""
 
     def test_fit_unavailable_is_not_an_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
 from typical_clt import distributions as di
+from typical_clt import quadrature
 from typical_clt import systems as sy
 from typical_clt.errors import ConfigurationError, DomainError, InsufficientDataError
 from typical_clt.quadrature import kernel_sum
@@ -104,13 +105,14 @@ class TestMixtureCDF:
                 di.MixtureCDF(radii=np.array([0.0, 1.0]),
                               weights=np.array([0.25, 0.75]), kernel=kernel, n=n)
 
-    def test_kernel_sum_independent_of_chunk(self):
+    def test_kernel_sum_independent_of_chunk(self, monkeypatch):
         rng = np.random.default_rng(8)
         x, nodes, w = rng.normal(size=37), rng.uniform(0.5, 2.0, 11), rng.random(11)
         whole = ndtr(x[:, None] / nodes[None, :]) @ w
-        for chunk in (1, 5, 37, 100):
-            got = kernel_sum(lambda xs, r: ndtr(xs / r), x, nodes, w, chunk)
-            assert np.allclose(got, whole, rtol=0.0, atol=1e-15), chunk
+        for rows in (1, 5, 8, 37, 100):  # blocks of 1, 5, 8, 32 and 37 rows
+            monkeypatch.setattr(quadrature, "BLOCK_ENTRIES", rows * nodes.size)
+            got = kernel_sum(lambda xs, r: ndtr(xs / r), x, nodes, w)
+            assert np.allclose(got, whole, rtol=0.0, atol=1e-15), rows
 
     def test_lut_matches_direct(self):
         rng = np.random.default_rng(5)

@@ -8,6 +8,7 @@ from scipy.stats import binom
 from typical_clt import functionals as fn
 from typical_clt import systems as sy
 from typical_clt.errors import DomainError, InsufficientDataError
+from typical_clt.quadrature import blocks
 from typical_clt.rng import as_rng, make_rng
 
 
@@ -117,18 +118,18 @@ class TestMomentMpPairs:
 
 
 class TestPairInnerProducts:
-    PAIRS = 2 * fn.PAIR_BLOCK + 123  # above the block size, not a multiple of it
-
     @pytest.mark.parametrize("spec", sy.default_catalog(8), ids=lambda s: s.spec_id)
     @pytest.mark.parametrize("seed", ["int", "generator"])
     def test_streamed_equals_one_shot(self, spec, seed):
         def fresh():
             return 11 if seed == "int" else np.random.default_rng(5)
 
+        # above the block size, not a multiple of it
+        pairs = 2 * next(blocks(1 << 62, spec.n)).stop + 123
         ref_rng, rng = fresh(), fresh()
-        x = sy.sample_vector(spec, self.PAIRS, as_rng(ref_rng, "pairs_x")).matrix
-        y = sy.sample_vector(spec, self.PAIRS, as_rng(ref_rng, "pairs_y")).matrix
-        got = fn._pair_inner_products(spec, self.PAIRS, rng)
+        x = sy.sample_vector(spec, pairs, as_rng(ref_rng, "pairs_x")).matrix
+        y = sy.sample_vector(spec, pairs, as_rng(ref_rng, "pairs_y")).matrix
+        got = fn._pair_inner_products(spec, pairs, rng)
         assert np.array_equal(got, np.einsum("ij,ij->i", x, y))
         if seed == "generator":  # later draws continue from the same state
             assert rng.bit_generator.state == ref_rng.bit_generator.state

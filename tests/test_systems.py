@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from typical_clt import systems as sy
 from typical_clt.errors import ConfigurationError, DomainError, NumericKernelError
+from typical_clt.quadrature import blocks
 from typical_clt.rng import as_rng, make_rng, master_seed
 from typical_clt.sphere_law import Direction, sample_direction
 
@@ -266,7 +267,7 @@ class TestProject:
         sy.SystemSpec(kind="walsh", n=4095),  # 1957 rows, fewer than the cube's
     ], ids=lambda s: s.spec_id)
     def test_blocks_match_matrix_path(self, spec):
-        count = 2 * (sy.STREAM_ENTRIES // spec.n // 8 * 8) + 5  # three blocks
+        count = 2 * next(blocks(1 << 62, spec.n)).stop + 5  # three blocks
         theta = sample_direction(spec.n, 5)
         a = sy.project(spec, theta, count, make_rng(9, "batch"))
         b = matrix_path(spec, theta, count, make_rng(9, "batch"))
