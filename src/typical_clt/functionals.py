@@ -54,6 +54,12 @@ def check_order(p: float) -> None:
         raise DomainError(f"moment order must be finite with p >= 1, got {p}")
 
 
+def _check_budget(budget: int) -> None:
+    """The sample budgets (draws or pairs) of the estimators: at least 100."""
+    if budget < 100:
+        raise InsufficientDataError(f"need a budget of at least 100, got {budget}")
+
+
 def _bootstrap_se(values: np.ndarray, statistic, rng: np.random.Generator):
     """SE of statistic(values) under i.i.d. resampling of the entries.
 
@@ -123,18 +129,28 @@ def _analytic_Mp(spec: SystemSpec, p: float) -> float | None:
     return None
 
 
-def _empirical_lp(matrix: np.ndarray, directions: np.ndarray, p: float,
-                  buffers: tuple | None = None) -> np.ndarray:
-    """(E_hat |X . d|^p)^(1/p) for each column d of `directions`.
+def _empirical_lp(matrix: np.ndarray, directions: np.ndarray, p: float) -> np.ndarray:
+    """(E_hat |X . d|^p)^(1/p) for each column d of `directions`, by `quadrature.blocks`.
 
-    `buffers`, two arrays of the projections' shape, hold the projections
-    and their |.|^p instead of fresh temporaries, with the same result.
+    Each block's |X . d|^p goes under the running column sums, and one
+    np.add.reduce over these stacked rows adds them in the row order of a
+    one-shot np.mean(axis=0), so the block size never changes a bit.  The
+    even columns take a blocked gemm, exact at a multiple of 8 rows; BLAS
+    forms the odd last column of a gemm in a way no row block reproduces,
+    so that column takes a blocked matvec, which the block rule keeps
+    independent of the block size.
     """
-    if buffers is None:
-        return np.mean(_abs_pow(matrix @ directions, p), axis=0) ** (1.0 / p)
-    proj, powers = buffers
-    np.matmul(matrix, directions, out=proj)
-    return np.mean(_abs_pow(proj, p, out=powers), axis=0) ** (1.0 / p)
+    rows, width = matrix.shape[0], directions.shape[1]
+    even = width - width % 2
+    sums = np.zeros(width)
+    for b in blocks(rows, width):
+        stack = np.empty((b.stop - b.start + 1, width))
+        stack[0] = sums
+        _abs_pow(matrix[b] @ directions[:, :even], p, out=stack[1:, :even])
+        if even < width:
+            _abs_pow(matrix[b] @ directions[:, -1], p, out=stack[1:, -1])
+        sums = np.add.reduce(stack, axis=0)
+    return (sums / rows) ** (1.0 / p)
 
 
 def _search_Mp(spec: SystemSpec, p: float, budget: int, rng) -> MomentEstimate:
@@ -153,12 +169,11 @@ def _search_Mp(spec: SystemSpec, p: float, budget: int, rng) -> MomentEstimate:
     value = float(scores[best])
     # coordinate ascent with shrinking step; stops once gains hit batch noise
     signed_axes = np.concatenate([np.eye(n), -np.eye(n)], axis=1)
-    buffers = (np.empty((budget, 2 * n)), np.empty((budget, 2 * n)))
     for step in (0.5, 0.2, 0.08, 0.03, 0.01):
         for _ in range(10):
             props = theta[:, None] + step * signed_axes
             props /= np.linalg.norm(props, axis=0, keepdims=True)
-            sc = _empirical_lp(batch.matrix, props, p, buffers)
+            sc = _empirical_lp(batch.matrix, props, p)
             j = int(np.argmax(sc))
             if sc[j] <= value * (1.0 + 1e-6):
                 break
@@ -178,8 +193,7 @@ def moment_Mp(spec: SystemSpec, p: float, budget: int = 20000, rng=0) -> MomentE
     analytic = _analytic_Mp(spec, p)
     if analytic is not None:
         return MomentEstimate(value=analytic, se=0.0, strategy="analytic")
-    if budget < 100:
-        raise InsufficientDataError(f"need a budget of at least 100, got {budget}")
+    _check_budget(budget)
     return _search_Mp(spec, p, budget, rng)
 
 
@@ -187,25 +201,31 @@ def moment_Mp(spec: SystemSpec, p: float, budget: int = 20000, rng=0) -> MomentE
 # m_p and sigma_2p
 # ---------------------------------------------------------------------------
 
-def _pair_inner_products(spec: SystemSpec, pairs: int, rng) -> np.ndarray:
-    """<X_i, Y_i> over `pairs` independent pairs, a `quadrature.blocks` block at a time.
+def _pair_blocks(spec: SystemSpec, pairs: int, rng, keys: tuple):
+    """(block, X rows, Y rows) over `pairs` independent pairs, by `quadrature.blocks`.
 
     X and Y are the one-shot draws sample_vector(spec, pairs, g) of
-    g = as_rng(rng, "pairs_x") and as_rng(rng, "pairs_y"); a block drawn
+    g = as_rng(rng, keys[0]) and as_rng(rng, keys[1]); a block drawn
     from g yields the next rows of that draw, so memory holds one block
     of each.  A Generator `rng` serves X and then Y: it is first advanced
     past X by drawing X's blocks once more, unkept, while a twin of its
     state draws the X that is used.
     """
-    gen_x, gen_y = as_rng(rng, "pairs_x"), as_rng(rng, "pairs_y")
+    gen_x, gen_y = (as_rng(rng, key) for key in keys)
     if gen_x is gen_y:
         gen_x = copy.deepcopy(gen_y)
         for block in blocks(pairs, spec.n):
             sample_vector(spec, block.stop - block.start, gen_y)
-    out = np.empty(pairs)
     for block in blocks(pairs, spec.n):
-        x = sample_vector(spec, block.stop - block.start, gen_x).matrix
-        y = sample_vector(spec, block.stop - block.start, gen_y).matrix
+        rows = block.stop - block.start
+        yield (block, sample_vector(spec, rows, gen_x).matrix,
+               sample_vector(spec, rows, gen_y).matrix)
+
+
+def _pair_inner_products(spec: SystemSpec, pairs: int, rng) -> np.ndarray:
+    """<X_i, Y_i> over `pairs` independent pairs of `_pair_blocks`, keys "pairs_x", "pairs_y"."""
+    out = np.empty(pairs)
+    for block, x, y in _pair_blocks(spec, pairs, rng, ("pairs_x", "pairs_y")):
         out[block] = np.einsum("ij,ij->i", x, y)
     return out
 
@@ -213,8 +233,7 @@ def _pair_inner_products(spec: SystemSpec, pairs: int, rng) -> np.ndarray:
 def moment_mp(spec: SystemSpec, p: float, pairs: int = 20000, rng=0) -> Estimate:
     """m_p estimate over independent pairs, with delta-method SE."""
     check_order(p)
-    if pairs < 100:
-        raise InsufficientDataError(f"need at least 100 pairs, got {pairs}")
+    _check_budget(pairs)
     v = _abs_pow(_pair_inner_products(spec, pairs, rng), p)
     root_n = math.sqrt(spec.n)
     return Estimate(value=float(v.mean() ** (1.0 / p) / root_n),
@@ -224,8 +243,7 @@ def moment_mp(spec: SystemSpec, p: float, pairs: int = 20000, rng=0) -> Estimate
 def sigma_2p(spec: SystemSpec, p: float, budget: int = 20000, rng=0) -> Estimate:
     """sigma_{2p} estimate: sqrt(n) (E | |X|^2/n - 1 |^p)^(1/p)."""
     check_order(p)
-    if budget < 100:
-        raise InsufficientDataError(f"need a budget of at least 100, got {budget}")
+    _check_budget(budget)
     gen = as_rng(rng, "sigma")
     dev = _abs_pow(squared_norms(spec, budget, gen) / spec.n - 1.0, p)
     root_n = math.sqrt(spec.n)
@@ -251,6 +269,7 @@ def norm_variance_check(spec: SystemSpec, budget: int = 20000, rng=0) -> BoundCh
     quantity is zero up to float epsilon, and the chain must hold with
     equality rather than fail on rounding noise.
     """
+    _check_budget(budget)
     # squared norms are exact for the +-1-valued systems; take sqrt after
     sq = squared_norms(spec, budget, as_rng(rng, "normvar"))
     n = spec.n
@@ -308,16 +327,15 @@ def small_ball(spec: SystemSpec, budget: int = 20000, rng=0) -> SmallBallResult:
 
     The bound 4^q m_q^q / n^(q/2) + 4^(2p) s_2p^(2p) / n^p at p = q = 2,
     that is 4^2 m_2^2 / n + 4^4 s_4^4 / n^2, evaluated from estimates on
-    the same pair sample.
+    the same pair sample, the pairs of `_pair_blocks` (keys "sb_x", "sb_y").
     """
-    x = sample_vector(spec, budget, as_rng(rng, "sb_x")).matrix
-    y = sample_vector(spec, budget, as_rng(rng, "sb_y")).matrix
+    _check_budget(budget)
     n = spec.n
     diff2, ip, sq = np.empty(budget), np.empty(budget), np.empty(budget)
-    for b in blocks(budget, n):  # |X - Y|^2, <X, Y> and |X|^2, row by row
-        diff2[b] = np.square(x[b] - y[b]).sum(axis=1)
-        ip[b] = np.einsum("ij,ij->i", x[b], y[b])
-        sq[b] = np.square(x[b]).sum(axis=1)
+    for b, x, y in _pair_blocks(spec, budget, rng, ("sb_x", "sb_y")):
+        diff2[b] = np.square(x - y).sum(axis=1)
+        ip[b] = np.einsum("ij,ij->i", x, y)
+        sq[b] = np.square(x).sum(axis=1)
     hits = diff2 <= n / 4.0
     emp = float(hits.mean())
     se = math.sqrt(emp * (1.0 - emp) / budget)

@@ -5,10 +5,13 @@ panels whose count follows the oscillation frequency.  Mixture CDFs and
 the quadrature are both sums f(x_i, node_j) @ weights (`kernel_sum`).
 
 Every blocked temporary of the package (these sums, streamed sample
-rows, cf grids, pair products) is a rows x width array cut by `blocks`
-to BLOCK_ENTRIES entries or fewer.  Blocks of a multiple of 8 rows put a
-BLAS matvec's remainder rows where the one-shot matvec does, so with one
-BLAS thread the block size never changes a number.
+rows, cf grids, pair products, the M_p search's scores) is a rows x width
+array cut by `blocks` to BLOCK_ENTRIES entries or fewer, small enough to
+stay in a core's L2 cache.  Blocks of a multiple of 8 rows put a BLAS
+matvec's remainder rows where the one-shot matvec does, and row-blocked
+gemm columns come out as the one-shot gemm's (bar an odd last column,
+which `functionals._empirical_lp` scores by matvec), so with one BLAS
+thread the block size never changes a number.
 """
 
 from __future__ import annotations
@@ -18,12 +21,17 @@ from functools import lru_cache
 import numpy as np
 
 GL_ORDER = 16
-# Entries of one rows x width block, 4 MB of float64.  Blocks eight times
-# larger (32 MB) sit just under glibc's 32 MiB mmap ceiling: freeing one
-# raises the dynamic mmap threshold to its size, and the heap then keeps
-# later blocks (on a 2-vCPU Linux VM, verify --suite all peaked at 557 MB
-# with them and 477 MB with these).
-BLOCK_ENTRIES = 500_000
+# Entries of one rows x width block, 512 KB of float64.  The M_p search's
+# 504-row x 128-column score block and its scratch then stay in a 2 MB L2
+# cache, while 4 MB blocks streamed from memory at every ascent step (on a
+# 2-vCPU Linux VM at one BLAS thread, its six p = 3 searches took 2.9-3.5 s
+# in 4 MB blocks, 2.1-2.5 s in these).  The smaller blocks cost page faults,
+# not time: sweep-uniform-F takes ~199k minor faults per run against ~131k
+# with 4 MB blocks, in the same wall time.  Blocks of 32 MB sit just under
+# glibc's 32 MiB mmap ceiling: freeing one raises the mmap threshold to its
+# size, and the heap then keeps later blocks (verify --suite all peaked at
+# 557 MB with them, 477 MB with 4 MB ones).
+BLOCK_ENTRIES = 1 << 16
 
 
 @lru_cache(maxsize=1)

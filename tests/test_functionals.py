@@ -6,6 +6,7 @@ from scipy.optimize import brentq
 from scipy.stats import binom
 
 from typical_clt import functionals as fn
+from typical_clt import quadrature
 from typical_clt import systems as sy
 from typical_clt.errors import DomainError, InsufficientDataError
 from typical_clt.quadrature import blocks
@@ -81,17 +82,23 @@ class TestMomentMp:
 
 class TestEmpiricalLp:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.5])
-    def test_buffers_bit_for_bit(self, p):
-        # the preallocated path equals the plain formula of fresh temporaries
-        gen = make_rng(8, "lp")
+    def test_buffers_bit_for_bit(self, monkeypatch, p):
+        # the blocked scores equal the plain formula on one-shot products:
+        # one gemm for the even columns, one matvec for an odd last column
+        # (at this seed the one-shot gemm's last column scores differently)
+        gen = make_rng(8, "lp2")
         matrix = gen.standard_normal((3000, 16))
-        directions = gen.standard_normal((16, 32))
-        proj = matrix @ directions
-        old = np.mean(np.square(proj) * np.abs(proj) if p == 3.0 else np.abs(proj) ** p,
-                      axis=0) ** (1.0 / p)
-        buffers = (np.empty((3000, 32)), np.empty((3000, 32)))
-        assert np.array_equal(fn._empirical_lp(matrix, directions, p, buffers), old)
-        assert np.array_equal(fn._empirical_lp(matrix, directions, p), old)
+        directions = gen.standard_normal((16, 33))
+        for width in (32, 33):
+            proj = matrix @ directions[:, :32]
+            if width == 33:
+                proj = np.column_stack([proj, matrix @ directions[:, 32]])
+            plain = np.mean(np.square(proj) * np.abs(proj) if p == 3.0
+                            else np.abs(proj) ** p, axis=0) ** (1.0 / p)
+            for entries in (1 << 12, quadrature.BLOCK_ENTRIES):
+                monkeypatch.setattr(quadrature, "BLOCK_ENTRIES", entries)
+                got = fn._empirical_lp(matrix, directions[:, :width], p)
+                assert np.array_equal(got, plain), (width, entries)
 
 
 class TestMomentMpPairs:
@@ -168,6 +175,20 @@ class TestSigma2p:
     def test_budget(self):
         with pytest.raises(InsufficientDataError):
             fn.sigma_2p(spec_iid("normal"), 1.0, budget=10)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda b: fn.moment_Mp(spec_iid("uniform", 8), 3.0, budget=b, rng=1),
+    lambda b: fn.moment_mp(spec_iid("uniform", 8), 2.0, pairs=b, rng=1),
+    lambda b: fn.sigma_2p(spec_iid("uniform", 8), 2.0, budget=b, rng=1),
+    lambda b: fn.norm_variance_check(spec_iid("uniform", 8), budget=b, rng=1),
+    lambda b: fn.small_ball(spec_iid("uniform", 8), budget=b, rng=1),
+], ids=["moment_Mp", "moment_mp", "sigma_2p", "norm_variance_check", "small_ball"])
+def test_budget_floor_of_every_estimator(estimate):
+    # below 100 draws or pairs a typed error, never a NaN standard error
+    with pytest.raises(InsufficientDataError):
+        estimate(99)
+    estimate(100)
 
 
 class TestNormVarianceChain:

@@ -31,7 +31,9 @@ SMALL_BLOCK = 1 << 15
     (5, 70_000, [5]),                       # fewer than 8 rows fit: 7 per block
     (3, 499_999, [1, 1, 1]),
 ])
-def test_blocks_cover_rows_in_order(rows, width, sizes):
+def test_blocks_cover_rows_in_order(monkeypatch, rows, width, sizes):
+    # the cutting rule at a fixed size; the cases are not about the default
+    monkeypatch.setattr(quadrature, "BLOCK_ENTRIES", 500_000)
     cut = list(blocks(rows, width))
     assert [b.stop - b.start for b in cut] == sizes
     assert [b.start for b in cut] == [sum(sizes[:i]) for i in range(len(sizes))]
@@ -56,8 +58,14 @@ def _blocked_results() -> dict:
                                       sample_direction(15, 5), 20_000, make_rng(3, "w"))
     out["squared_norms"] = sy.squared_norms(UNIFORM16, 5000, 4)
     out["pair_products"] = fn._pair_inner_products(UNIFORM16, 5000, np.random.default_rng(6))
-    sb = fn.small_ball(UNIFORM16, budget=5000, rng=7)
-    out["small_ball"] = np.array([sb.empirical, sb.se, sb.bound, sb.bound_se])
+    for name, rng in (("small_ball", 7), ("small_ball_twin", np.random.default_rng(7))):
+        sb = fn.small_ball(UNIFORM16, budget=5000, rng=rng)
+        out[name] = np.array([sb.empirical, sb.se, sb.bound, sb.bound_se])
+    # 81 and 80 candidates: an odd last column, scored apart, and none
+    for spec in (UNIFORM16, sy.SystemSpec(kind="walsh", n=15)):
+        for p in (2.5, 3.0):
+            mp = fn.moment_Mp(spec, p, budget=5000, rng=make_rng(8, spec.spec_id, int(2 * p)))
+            out[f"Mp_{spec.spec_id}_{p}"] = np.concatenate([[mp.value, mp.se], mp.direction])
     return out
 
 
@@ -97,11 +105,18 @@ def _small_ball():
     return lambda: fn.small_ball(UNIFORM64, budget=30_000, rng=3)
 
 
+def _search_Mp():
+    return lambda: fn.moment_Mp(UNIFORM64, 3.0, budget=20_000, rng=4)
+
+
 # the peaks of 32 MB kernel blocks and 65536-row pair blocks were 174, 100,
-# 82 and 59 MB; small_ball still holds its two 15 MB sample matrices
+# 82 and 59 MB; small_ball's two whole sample matrices took 38 MB, and the
+# M_p search's whole-batch scores 69 MB.  The search still holds its batch
+# (10 MB at 20000 x 64).
 @pytest.mark.parametrize("layer, bound_mb", [
-    (_table_build, 40), (_aniso_m2, 40), (_typical_cf, 40), (_small_ball, 48),
-], ids=["table_build", "aniso_m2", "charfn_typical", "small_ball"])
+    (_table_build, 40), (_aniso_m2, 40), (_typical_cf, 40), (_small_ball, 8),
+    (_search_Mp, 16),
+], ids=["table_build", "aniso_m2", "charfn_typical", "small_ball", "moment_Mp"])
 def test_traced_peak_per_layer(layer, bound_mb):
     run = layer()  # warm caches, such as the sphere CDF table, stay outside
     tracemalloc.start()
