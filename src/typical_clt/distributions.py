@@ -39,6 +39,7 @@ bound is taken against the direct sum with that same kernel.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -413,6 +414,88 @@ def build_target(spec: SystemSpec, target: str, radial_budget: int, rng) -> Mixt
     raise DomainError(f"unknown target {target!r}; expected one of phi, F, G")
 
 
+def mean_theta_distances(
+    cells,
+    target: str = "phi",
+    theta_budget: int = 64,
+    per_theta_budget: int = 100_000,
+    radial_budget: int = 100_000,
+    threads: int = 1,
+) -> list[MeanThetaDistance]:
+    """`mean_theta_distance` of each (spec, rng) in `cells`, in one ordered pool.
+
+    The pool's tasks start in submission order: each cell's target build
+    (with its lookup table, when the directions read one) is queued one
+    cell ahead of the directions that read it, so the next table is built
+    while these directions draw.  A direction draws and sorts its sample,
+    then waits for its target; as its build started first, the wait ends.
+    The last direction of a cell drops its target, so a target lives only
+    while its cell is in flight: at one thread, two at a time (the one
+    read and the next).  A failed task fails the call: its exception is
+    raised and the tasks not yet started are cancelled.  Every task seeds
+    itself from its cell's keys, so the results do not depend on `threads`.
+    """
+    check_threads(threads)
+    if theta_budget < 2:
+        raise InsufficientDataError("need at least 2 directions for a standard error")
+    if per_theta_budget < 100:
+        raise InsufficientDataError("need at least 100 samples per direction")
+    cells = list(cells)
+    specs = [spec for spec, _ in cells]
+    masters = [master_seed(rng) for _, rng in cells]
+    targets = {}                          # cell -> future of its target
+    pending = [theta_budget] * len(specs)  # directions of a cell not yet done
+    lock = threading.Lock()
+
+    def build(k: int) -> MixtureCDF:
+        mix = build_target(specs[k], target, radial_budget, make_rng(masters[k], "radial"))
+        # a direction's step CDF has at most per_theta_budget jump points,
+        # so the table is read only if this builds it, before any reader
+        if mix.tabulates(per_theta_budget):
+            mix._ensure_lut()
+        return mix
+
+    def one_theta(k: int, j: int) -> float:
+        try:
+            theta = sample_direction(specs[k].n, make_rng(masters[k], "theta", j))
+            step = StepCDF.from_samples(
+                project(specs[k], theta, per_theta_budget, make_rng(masters[k], "batch", j)))
+            return kolmogorov_distance(step, targets[k].result()).rho
+        finally:
+            with lock:
+                pending[k] -= 1
+                if pending[k] == 0:
+                    del targets[k]
+
+    # perfbench/tracer.py replaces this module's ThreadPoolExecutor to
+    # charge pool work to the span that submitted it
+    with ThreadPoolExecutor(max_workers=min(threads, theta_budget)) as pool:
+        rhos = []
+        for k in range(len(specs) + 1):
+            if k < len(specs):
+                targets[k] = pool.submit(build, k)
+            if k > 0:
+                rhos.append([pool.submit(one_theta, k - 1, j) for j in range(theta_budget)])
+        try:
+            per_theta = [np.array([f.result() for f in cell]) for cell in rhos]
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+    return [MeanThetaDistance(
+        mean=float(rho.mean()),
+        se=float(rho.std(ddof=1) / math.sqrt(theta_budget)),
+        per_theta=rho,
+        noise_floor=noise_floor(per_theta_budget),
+        spec_id=spec.spec_id,
+        n=spec.n,
+        target=target,
+        theta_budget=theta_budget,
+        per_theta_budget=per_theta_budget,
+        radial_budget=radial_budget,
+        seed=master,
+    ) for spec, master, rho in zip(specs, masters, per_theta)]
+
+
 def mean_theta_distance(
     spec: SystemSpec,
     target: str = "phi",
@@ -429,38 +512,9 @@ def mean_theta_distance(
     `systems.project`, which forms no sample matrix for trigonometric and
     Walsh systems) and measures the exact Kolmogorov distance to the
     target.  Nothing is subtracted from the estimates; the empirical-CDF
-    noise floor is reported alongside.
+    noise floor is reported alongside.  The one-cell case of
+    `mean_theta_distances`.
     """
-    check_threads(threads)
-    if theta_budget < 2:
-        raise InsufficientDataError("need at least 2 directions for a standard error")
-    if per_theta_budget < 100:
-        raise InsufficientDataError("need at least 100 samples per direction")
-    master = master_seed(rng)
-    target_cdf = build_target(spec, target, radial_budget, make_rng(master, "radial"))
-    # a direction's step CDF has at most per_theta_budget jump points, so
-    # the table is read only if this builds it, once and before the pool
-    # (a build inside the pool overlaps the other threads' sample matrices)
-    if target_cdf.tabulates(per_theta_budget):
-        target_cdf._ensure_lut()
-
-    def one_theta(j: int) -> float:
-        theta = sample_direction(spec.n, make_rng(master, "theta", j))
-        step = StepCDF.from_samples(
-            project(spec, theta, per_theta_budget, make_rng(master, "batch", j)))
-        return kolmogorov_distance(step, target_cdf).rho
-
-    per_theta = np.array(ordered_map(one_theta, range(theta_budget), threads))
-    return MeanThetaDistance(
-        mean=float(per_theta.mean()),
-        se=float(per_theta.std(ddof=1) / math.sqrt(theta_budget)),
-        per_theta=per_theta,
-        noise_floor=noise_floor(per_theta_budget),
-        spec_id=spec.spec_id,
-        n=spec.n,
-        target=target,
-        theta_budget=theta_budget,
-        per_theta_budget=per_theta_budget,
-        radial_budget=radial_budget,
-        seed=master,
-    )
+    return mean_theta_distances([(spec, rng)], target, theta_budget=theta_budget,
+                                per_theta_budget=per_theta_budget,
+                                radial_budget=radial_budget, threads=threads)[0]

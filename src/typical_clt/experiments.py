@@ -189,26 +189,27 @@ def _summary_path(output: str) -> str:
 def run_sweep(config: SweepConfig, threads: int = 1) -> RateFit:
     """Measure mean theta-distances over the n list, write CSVs, fit the rate.
 
-    The per-theta CSV goes to config.output and a per-n summary next to
-    it.  Raises FitUnavailableError, after writing both files, when fewer
-    than 3 rows clear the noise floor.
+    Every n runs in one ordered pool of `threads` threads
+    (`distributions.mean_theta_distances`), so each n's target is built
+    while the directions of the n before it draw.  The per-theta CSV goes
+    to config.output and a per-n summary next to it.  Raises
+    FitUnavailableError, after writing both files, when fewer than 3 rows
+    clear the noise floor.
     """
     for path in (config.output, _summary_path(config.output)):
         check_output(path)
-    detail_rows = []
-    summary = []
-    for n in config.n_list:
-        spec = built_in_spec(config.system, n)
-        res = di.mean_theta_distance(
-            spec, config.target,
-            theta_budget=config.theta_budget,
-            per_theta_budget=config.per_theta_budget,
-            radial_budget=config.radial_budget,
-            rng=make_rng(config.seed, "sweep_n", n), threads=threads,
-        )
-        detail_rows.extend(per_theta_rows(res, config.seed))
-        summary.append(SweepRow(n=n, mean_rho=res.mean, se=res.se,
-                                noise_floor=res.noise_floor))
+    results = di.mean_theta_distances(
+        [(built_in_spec(config.system, n), make_rng(config.seed, "sweep_n", n))
+         for n in config.n_list],
+        config.target,
+        theta_budget=config.theta_budget,
+        per_theta_budget=config.per_theta_budget,
+        radial_budget=config.radial_budget,
+        threads=threads,
+    )
+    detail_rows = [row for res in results for row in per_theta_rows(res, config.seed)]
+    summary = [SweepRow(n=res.n, mean_rho=res.mean, se=res.se, noise_floor=res.noise_floor)
+               for res in results]
     write_csv(config.output, PER_THETA_HEADER, detail_rows)
     write_csv(_summary_path(config.output),
               ["n", "mean_rho", "se", "noise_floor", "admissible"],

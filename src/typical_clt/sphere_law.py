@@ -113,24 +113,89 @@ def cdf(n: int, x: float) -> float:
     return 0.5 - float(_beta_half_mass(n, x * x / n))
 
 
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point slope at an end knot, kept shape-preserving."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Knot slopes of the PCHIP interpolant, from interval widths h and secants m.
+
+    Interior knots take the weighted harmonic mean of the two secants, or
+    0 where they differ in sign or one is 0 (Fritsch-Carlson); the ends
+    take `_pchip_end_slope` (Moler, Numerical Computing with MATLAB 3.6).
+    """
+    sign = np.sign(m)
+    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    d = np.empty(m.size + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only where flat
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
 class SphereCdfTable:
     """Fast monotone interpolant of the CDF, accurate to about 1e-7.
 
     Used for mixture evaluation where millions of CDF lookups are needed:
-    a PCHIP interpolant through closed-form values at the knots
+    the PCHIP interpolant through closed-form values at the knots
     sqrt(n) sin(u), u equispaced in [0, pi/2], which crowd toward the
-    support edge where the density vanishes.
+    support edge where the density vanishes.  Its slopes, cubic Hermite
+    coefficients and power-form evaluation are those of scipy's
+    PchipInterpolator, operation for operation, so the two agree bit for
+    bit.  The knot interval of a point v is searchsorted(knots, v,
+    "right") - 1 (the last interval at the last knot), found from the
+    guess arcsin(v / sqrt(n)) / du and then moved to the knots it lies
+    between.
     """
 
     def __init__(self, n: int):
-        from scipy.interpolate import PchipInterpolator
-
         self.n = n
         self.root = math.sqrt(n)
         sin_u = np.sin(np.linspace(0.0, math.pi / 2.0, CDF_TABLE_KNOTS))
-        self._half = PchipInterpolator(self.root * sin_u,
-                                       _beta_half_mass(n, np.square(sin_u)),
-                                       extrapolate=False)
+        x = self.root * sin_u
+        y = _beta_half_mass(n, np.square(sin_u))
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = _pchip_slopes(h, m)
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self._knots = x
+        # power-form coefficients of 1, s, s^2, s^3 on each interval, s = v - knot
+        self._coef = (y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)
+
+    def _interval(self, v: np.ndarray) -> np.ndarray:
+        """searchsorted(knots, v, "right") - 1, capped at the last interval.
+
+        v lies in [0, sqrt(n)] or is nan, which takes the last interval.
+        """
+        x, last = self._knots, CDF_TABLE_KNOTS - 2
+        guess = np.arcsin(v / self.root)
+        guess *= (CDF_TABLE_KNOTS - 1) / (math.pi / 2.0)
+        j = np.fmin(guess, last).astype(np.intp)
+        while True:  # the guess is off by at most a knot or so
+            down = v < x[j]
+            up = v >= x[j + 1]
+            up &= j < last
+            if not (down.any() or up.any()):
+                return j
+            j -= down
+            j += up
+
+    def _half(self, v: np.ndarray) -> np.ndarray:
+        """The interpolant of the mass on [0, v], for v in [0, sqrt(n)]."""
+        j = self._interval(v)
+        s = v - self._knots[j]
+        s2 = s * s
+        c0, c1, c2, c3 = self._coef
+        return c0[j] + c1[j] * s + c2[j] * s2 + c3[j] * (s2 * s)  # scipy's order
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

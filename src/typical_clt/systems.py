@@ -121,6 +121,14 @@ class SampleBatch:
     spec: SystemSpec
 
 
+def _uniform(gen: np.random.Generator, lo: float, hi: float, size) -> np.ndarray:
+    """gen.uniform(lo, hi, size) bit for bit: lo + (hi - lo) u, mapped in place."""
+    out = gen.random(size)
+    out *= hi - lo
+    out += lo
+    return out
+
+
 def _sample_rows(spec: SystemSpec, count: int, gen: np.random.Generator) -> np.ndarray:
     n = spec.n
     # affine maps act in place: no second count x n array
@@ -131,7 +139,7 @@ def _sample_rows(spec: SystemSpec, count: int, gen: np.random.Generator) -> np.n
         out -= 1.0
         return out
     if spec.kind == "uniform":
-        return gen.uniform(-SQRT3, SQRT3, size=(count, n))
+        return _uniform(gen, -SQRT3, SQRT3, (count, n))
     if spec.kind == "exponential":
         out = gen.standard_exponential(size=(count, n))
         out -= 1.0
@@ -139,7 +147,7 @@ def _sample_rows(spec: SystemSpec, count: int, gen: np.random.Generator) -> np.n
     if spec.kind == "normal":
         return gen.standard_normal(size=(count, n))
     if spec.kind == "trigonometric":
-        omega = gen.uniform(-math.pi, math.pi, size=count)
+        omega = _uniform(gen, -math.pi, math.pi, count)
         k = np.arange(1, n // 2 + 1, dtype=float)
         ang = omega[:, None] * k[None, :]
         out = np.empty((count, n))
@@ -215,7 +223,7 @@ def _trig_projector(theta: Direction):
     coef = _trig_coefficients(theta)
 
     def draw(rows: int, gen: np.random.Generator) -> np.ndarray:
-        z = np.exp(1j * gen.uniform(-math.pi, math.pi, size=rows))
+        z = np.exp(1j * _uniform(gen, -math.pi, math.pi, rows))
         p = np.full(rows, coef[-1])
         for c in coef[-2::-1]:
             p *= z

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from typical_clt import cli
 from typical_clt import distributions as di
 from typical_clt import experiments as ex
+from typical_clt.errors import DomainError, NumericKernelError
 
 
 def run(argv):
@@ -104,6 +106,7 @@ radial = 2000
 
         # every sweep and distance cell, and the verify suite below, fail
         monkeypatch.setattr(di, "mean_theta_distance", cell)
+        monkeypatch.setattr(di, "mean_theta_distances", cell)
         monkeypatch.setitem(ex.SUITES, "tail", lambda scale, seed: [cell])
         (tmp_path / "a_directory").mkdir()
         (tmp_path / "a_file").write_text("")
@@ -119,6 +122,32 @@ radial = 2000
                     "--output", out]
         assert run(argv) == cli.EXIT_CONFIG_ERROR
         assert (tmp_path / "a_file").read_text() == ""
+
+    @pytest.mark.parametrize("error, code", [
+        (NumericKernelError, cli.EXIT_NUMERIC_ERROR),
+        (DomainError, cli.EXIT_CONFIG_ERROR),
+    ], ids=["numeric", "domain"])
+    def test_failed_build_ends_the_sweep(self, tmp_path, monkeypatch, error, code):
+        original = di.build_target
+
+        def build_target(spec, *args):
+            if spec.n == 32:
+                raise error(f"no target at n={spec.n}")
+            return original(spec, *args)
+
+        monkeypatch.setattr(di, "build_target", build_target)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[system]\nname = uniform\n[sweep]\nn_list = 16, 32, 64\n"
+                       f"target = F\noutput = {tmp_path / 'sweep.csv'}\n"
+                       f"[budgets]\ntheta = 8\nper_theta = 2000\nradial = 2000\n")
+        exit_codes = []
+        runner = threading.Thread(target=lambda: exit_codes.append(
+            run(["sweep", "--config", str(cfg), "--threads", "2"])))
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive()
+        assert exit_codes == [code]
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_fit_unavailable_is_not_an_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"
@@ -230,6 +259,22 @@ def test_import_leaves_scipy_integrate_out():
                          capture_output=True, text=True).stdout
     public = {m for m in ast.literal_eval(out.strip()) if not m.startswith("_")}
     assert public <= {"special", "version"}, public
+
+
+def test_sweep_leaves_scipy_interpolate_out(tmp_path):
+    # the sphere kernel's PCHIP table is numpy code; only charfn's J_n
+    # spline imports scipy.interpolate
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[system]\nname = uniform\n[sweep]\nn_list = 8, 16, 32\n"
+                   f"target = F\noutput = {tmp_path / 'sweep.csv'}\n"
+                   f"[budgets]\ntheta = 2\nper_theta = 5000\nradial = 5000\n")
+    code = (f"import sys, typical_clt.cli; code = typical_clt.cli.main(['sweep', "
+            f"'--config', {str(cfg)!r}]); "
+            f"print(code, 'scipy.interpolate' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1].split() == ["0", "False"]
 
 
 def test_benchmark_tracer_installs():

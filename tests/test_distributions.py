@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -378,6 +380,27 @@ class TestMeanThetaDistance:
                                per_theta_budget=1000, radial_budget=100,
                                rng=2, threads=2)
         assert table_builds == []
+
+    def test_pool_stress_many_cells(self):
+        # more pool threads than cores and a short switch interval, so the
+        # per-cell countdown that drops each target is raced; a lost or
+        # early drop fails a direction, a wait that never ends hangs
+        cells = [(spec_iid("uniform", n), 40 + n) for n in (8, 9, 10, 11, 12, 13)]
+        kw = dict(theta_budget=3, per_theta_budget=300, radial_budget=300)
+        serial = di.mean_theta_distances(cells, "F", threads=1, **kw)
+        pooled = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: pooled.extend(
+                di.mean_theta_distances(cells, "F", threads=8, **kw)))
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert [r.per_theta.tolist() for r in pooled] == \
+            [r.per_theta.tolist() for r in serial]
 
     def test_thread_determinism(self):
         spec = sy.SystemSpec(kind="trigonometric", n=16)

@@ -5,10 +5,14 @@ import threading
 import numpy as np
 import pytest
 
+from typical_clt import distributions as di
 from typical_clt import experiments as ex
 from typical_clt import functionals as fn
 from typical_clt import reports
+from typical_clt import systems as sy
 from typical_clt.errors import ConfigurationError, FitUnavailableError
+from typical_clt.rng import make_rng, master_seed
+from typical_clt.sphere_law import sample_direction
 from typical_clt.systems import SystemSpec
 
 
@@ -188,6 +192,50 @@ class TestRunSweep:
         first = open(cfg.output, "rb").read()
         ex.run_sweep(cfg)
         assert open(cfg.output, "rb").read() == first
+
+    @staticmethod
+    def serial_reference(cfg, path):
+        """The sweep's CSVs from a plain loop: each n's target, then its directions."""
+        detail, summary = [], []
+        for n in cfg.n_list:
+            spec = SystemSpec(kind=cfg.system, n=n)
+            master = master_seed(make_rng(cfg.seed, "sweep_n", n))
+            target = di.build_target(spec, cfg.target, cfg.radial_budget,
+                                     make_rng(master, "radial"))
+            assert target.tabulates(cfg.per_theta_budget)  # the table is read
+            rho = np.array([di.kolmogorov_distance(di.StepCDF.from_samples(sy.project(
+                spec, sample_direction(n, make_rng(master, "theta", j)),
+                cfg.per_theta_budget, make_rng(master, "batch", j))), target).rho
+                for j in range(cfg.theta_budget)])
+            detail += [[spec.spec_id, n, cfg.target, j, float(r), cfg.theta_budget,
+                        cfg.per_theta_budget, cfg.radial_budget, cfg.seed]
+                       for j, r in enumerate(rho)]
+            row = ex.SweepRow(n=n, mean_rho=float(rho.mean()),
+                              se=float(rho.std(ddof=1) / math.sqrt(cfg.theta_budget)),
+                              noise_floor=di.noise_floor(cfg.per_theta_budget))
+            summary.append([n, row.mean_rho, row.se, row.noise_floor, row.admissible])
+        reports.write_csv(str(path / "sweep.csv"), ex.PER_THETA_HEADER, detail)
+        reports.write_csv(str(path / "sweep_summary.csv"),
+                          ["n", "mean_rho", "se", "noise_floor", "admissible"], summary)
+
+    @pytest.mark.parametrize("target", ["F", "G"])
+    def test_bytes_do_not_depend_on_the_pool(self, tmp_path, target):
+        # 6000 atoms x 5000 jump points take the table path at every n
+        cfg = self.small_config(tmp_path, system="uniform", target=target,
+                                theta_budget=4, per_theta_budget=5000,
+                                radial_budget=6000)
+        (tmp_path / "serial").mkdir()
+        self.serial_reference(cfg, tmp_path / "serial")
+        expected = [(tmp_path / "serial" / name).read_bytes()
+                    for name in ("sweep.csv", "sweep_summary.csv")]
+        for threads in (1, 2, 8):
+            try:
+                ex.run_sweep(cfg, threads=threads)
+            except FitUnavailableError:
+                pass
+            got = [(tmp_path / name).read_bytes()
+                   for name in ("sweep.csv", "sweep_summary.csv")]
+            assert got == expected, threads
 
     def test_gaussian_sweep_fit_unavailable(self, tmp_path):
         # the weighted sums of the normal system are exactly standard normal:

@@ -109,14 +109,28 @@ def _search_Mp():
     return lambda: fn.moment_Mp(UNIFORM64, 3.0, budget=20_000, rng=4)
 
 
+def _sweep_targets():
+    # one thread builds one target at a time; each of these holds 3.7 MB
+    # (200000 radial atoms and weights, and its table), and the last
+    # direction of an n drops its target: 14 MB traced, 25 MB with all
+    # five kept to the end
+    ns = (8, 10, 12, 14, 16)
+    for n in ns:
+        di.cdf_table(n)
+    cells = [(sy.SystemSpec(kind="uniform", n=n), make_rng(9, "sweep_n", n)) for n in ns]
+    return lambda: di.mean_theta_distances(cells, "F", theta_budget=4, per_theta_budget=1000,
+                                           radial_budget=200_000, threads=1)
+
+
 # the peaks of 32 MB kernel blocks and 65536-row pair blocks were 174, 100,
 # 82 and 59 MB; small_ball's two whole sample matrices took 38 MB, and the
 # M_p search's whole-batch scores 69 MB.  The search still holds its batch
 # (10 MB at 20000 x 64).
 @pytest.mark.parametrize("layer, bound_mb", [
     (_table_build, 40), (_aniso_m2, 40), (_typical_cf, 40), (_small_ball, 8),
-    (_search_Mp, 16),
-], ids=["table_build", "aniso_m2", "charfn_typical", "small_ball", "moment_Mp"])
+    (_search_Mp, 16), (_sweep_targets, 20),
+], ids=["table_build", "aniso_m2", "charfn_typical", "small_ball", "moment_Mp",
+        "sweep_targets"])
 def test_traced_peak_per_layer(layer, bound_mb):
     run = layer()  # warm caches, such as the sphere CDF table, stay outside
     tracemalloc.start()

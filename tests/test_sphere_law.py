@@ -117,6 +117,24 @@ class TestCdf:
             exact = np.array([sl.cdf(n, float(x)) for x in xs])
             assert np.abs(table(xs) - exact).max() < 1e-7, n
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 64, 600, 4096])
+    def test_interpolant_is_scipy_pchip(self, n):
+        # bit for bit scipy's PchipInterpolator through the same knots, at
+        # random points in and beyond the support, every knot and both ends
+        from scipy.interpolate import PchipInterpolator
+
+        root = math.sqrt(n)
+        sin_u = np.sin(np.linspace(0.0, math.pi / 2.0, sl.CDF_TABLE_KNOTS))
+        knots = root * sin_u
+        half = PchipInterpolator(knots, sl._beta_half_mass(n, np.square(sin_u)),
+                                 extrapolate=False)
+        rng = np.random.default_rng(n)
+        xs = np.concatenate([rng.uniform(-1.1 * root, 1.1 * root, 50_000),
+                             knots, -knots, [-root, root, 0.0]])
+        h = half(np.clip(np.abs(xs), 0.0, root))
+        assert np.array_equal(sl.SphereCdfTable(n)(xs),
+                              np.where(xs >= 0.0, 0.5 + h, 0.5 - h))
+
 
 class TestSampleDirection:
     def test_unit_norm(self):

@@ -133,6 +133,25 @@ class TestSampling:
         got = sy.sample_vector(spec, 500, make_rng(3, "x")).matrix
         assert np.array_equal(got, reference(make_rng(3, "x")))
 
+    @pytest.mark.parametrize("lo, hi", [(-sy.SQRT3, sy.SQRT3), (-math.pi, math.pi)])
+    def test_uniform_is_generator_uniform(self, lo, hi):
+        for seed in range(20):
+            assert np.array_equal(sy._uniform(make_rng(seed), lo, hi, (300, 7)),
+                                  make_rng(seed).uniform(lo, hi, size=(300, 7)))
+
+    @pytest.mark.parametrize("draw", [
+        lambda: sy.sample_vector(spec_iid("uniform", 8), 500, make_rng(3, "x")).matrix,
+        lambda: sy.sample_vector(sy.SystemSpec(kind="trigonometric", n=8), 500,
+                                 make_rng(3, "x")).matrix,
+        lambda: sy.project(sy.SystemSpec(kind="trigonometric", n=8),
+                           sample_direction(8, 1), 500, make_rng(3, "x")),
+    ], ids=["uniform_rows", "trig_rows", "trig_projector"])
+    def test_uniform_draws_match_generator_uniform(self, monkeypatch, draw):
+        got = draw()
+        monkeypatch.setattr(sy, "_uniform",
+                            lambda gen, lo, hi, size: gen.uniform(lo, hi, size=size))
+        assert np.array_equal(got, draw())
+
     def test_count_validation(self):
         with pytest.raises(ConfigurationError):
             sy.sample_vector(spec_iid("normal"), 0, 1)
