@@ -44,7 +44,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigurationError, DomainError, InsufficientDataError
 from .quadrature import kernel_sum
@@ -241,6 +240,8 @@ class MixtureCDF:
 
     def _kernel_cdf(self, z):
         if self.kernel == "gaussian":
+            from scipy.special import ndtr
+
             return ndtr(z)
         return cdf_table(self.n)(z)
 

@@ -247,34 +247,40 @@ class TestOtherCommands:
         assert run([]) == cli.EXIT_CONFIG_ERROR
 
 
-def test_import_leaves_scipy_integrate_out():
-    # the sphere CDF is a closed form, so no quadrature package loads at
-    # startup; interpolation and optimisation load only where they are
-    # used.  Startup loads one public scipy subpackage, special, besides
-    # scipy's private internals and its version module.
-    code = ("import sys, typical_clt.cli; print(sorted({m.split('.')[1] "
-            "for m in sys.modules if m.startswith('scipy.')}))")
+def _loaded_scipy(code):
+    """Run `code` in a fresh interpreter; its last line of output, then
+    the scipy modules it left loaded."""
+    code = (f"import sys, typical_clt.cli; {code}; "
+            f"print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    public = {m for m in ast.literal_eval(out.strip()) if not m.startswith("_")}
-    assert public <= {"special", "version"}, public
+                         capture_output=True, text=True).stdout.splitlines()
+    return out[-2] if len(out) > 1 else None, ast.literal_eval(out[-1])
 
 
-def test_sweep_leaves_scipy_interpolate_out(tmp_path):
-    # the sphere kernel's PCHIP table is numpy code; only charfn's J_n
-    # spline imports scipy.interpolate
+def test_import_leaves_scipy_out():
+    # the sphere CDF is a numpy closed form and every scipy function is
+    # imported where it is called, so startup loads no scipy module
+    assert _loaded_scipy("pass") == (None, [])
+
+
+def test_sweep_leaves_scipy_out(tmp_path):
+    # the F target's kernel is the numpy closed form and PCHIP; only the
+    # phi and G targets' Gaussian kernel and charfn's J_n load scipy
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[system]\nname = uniform\n[sweep]\nn_list = 8, 16, 32\n"
                    f"target = F\noutput = {tmp_path / 'sweep.csv'}\n"
                    f"[budgets]\ntheta = 2\nper_theta = 5000\nradial = 5000\n")
-    code = (f"import sys, typical_clt.cli; code = typical_clt.cli.main(['sweep', "
-            f"'--config', {str(cfg)!r}]); "
-            f"print(code, 'scipy.interpolate' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.splitlines()[-1].split() == ["0", "False"]
+    code = f"print(typical_clt.cli.main(['sweep', '--config', {str(cfg)!r}]))"
+    assert _loaded_scipy(code) == ("0", [])
+
+
+def test_verify_leaves_scipy_out(tmp_path):
+    # no verify suite reaches ndtr, hyp0f1 or an interpolating spline
+    code = (f"print(typical_clt.cli.main(['verify', '--suite', 'all', "
+            f"'--budget-scale', '0.02', '--output', {str(tmp_path / 'v.csv')!r}]))")
+    exit_code, loaded = _loaded_scipy(code)
+    assert exit_code in ("0", "1") and loaded == []
 
 
 def test_benchmark_tracer_installs():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import j0, ndtr
+from scipy.special import betainc, j0, ndtr
 
 from typical_clt import sphere_law as sl
 from typical_clt.errors import DomainError
@@ -117,6 +117,22 @@ class TestCdf:
             exact = np.array([sl.cdf(n, float(x)) for x in xs])
             assert np.abs(table(xs) - exact).max() < 1e-7, n
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 64, 256, 600, 1024, 4096])
+    def test_closed_form_is_betainc(self, n):
+        # the reduction formula against scipy's betainc at every table knot.
+        # x = sin^2 u rounds near 1, where I_x(1/2, b) is ill-conditioned, so
+        # there the oracle is 1 - I_(1-x)(b, 1/2) with 1 - x = cos^2 u
+        u = np.linspace(0.0, math.pi / 2.0, sl.CDF_TABLE_KNOTS)
+        sin2, cos2 = np.square(np.sin(u)), np.square(np.cos(u))
+        a, b = 0.5, 0.5 * (n - 1)
+        oracle = 0.5 * np.where(sin2 <= 0.5, betainc(a, b, sin2),
+                                1.0 - betainc(b, a, cos2))
+        half = sl._beta_half_mass(n, u)
+        assert np.abs(half - oracle).max() <= (1e-14 if n <= 1024 else 5e-14)
+        assert half.max() == half[-1] == 0.5
+        root = math.sqrt(n)
+        assert sl.cdf(n, root) == 1.0 and sl.cdf(n, -root) == 0.0
+
     @pytest.mark.parametrize("n", [2, 3, 5, 16, 64, 600, 4096])
     def test_interpolant_is_scipy_pchip(self, n):
         # bit for bit scipy's PchipInterpolator through the same knots, at
@@ -124,10 +140,9 @@ class TestCdf:
         from scipy.interpolate import PchipInterpolator
 
         root = math.sqrt(n)
-        sin_u = np.sin(np.linspace(0.0, math.pi / 2.0, sl.CDF_TABLE_KNOTS))
-        knots = root * sin_u
-        half = PchipInterpolator(knots, sl._beta_half_mass(n, np.square(sin_u)),
-                                 extrapolate=False)
+        u = np.linspace(0.0, math.pi / 2.0, sl.CDF_TABLE_KNOTS)
+        knots = root * np.sin(u)
+        half = PchipInterpolator(knots, sl._beta_half_mass(n, u), extrapolate=False)
         rng = np.random.default_rng(n)
         xs = np.concatenate([rng.uniform(-1.1 * root, 1.1 * root, 50_000),
                              knots, -knots, [-root, root, 0.0]])
