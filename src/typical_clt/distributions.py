@@ -30,10 +30,10 @@ with C_K = sup_z |2 z k(z) + z^2 k'(z)| = sup_z |(z^2 k)'(z)| for the
 kernel density k; the linear interpolation of the table adds
 (dx)^2/8 sup|k'| / min r^2.  The sphere kernel of n < 5 has an
 unbounded k', so its tables keep the ceiling count of cells and an
-infinite bound.  The sphere kernel is a PCHIP table of the closed-form
-CDF, within 1e-7 of it (the largest gap seen up to n = 4096 is 1.4e-9),
-far below every Monte Carlo noise floor in this package; the certified
-bound is taken against the direct sum with that same kernel.
+infinite bound.  The sphere kernel is evaluated through a cubic Hermite
+table of the closed-form CDF (`sphere_law.SphereCdfTable`), within its
+own bound of it (2.4e-12 at n = 4096); the certified bound adds that
+term, so it holds against the direct sum with the closed-form kernel.
 """
 
 from __future__ import annotations
@@ -275,7 +275,10 @@ class MixtureCDF:
         if math.isinf(c_k):
             return cap, math.inf
         step = 2.0 * self.span / (LUT_POINTS - 1)
+        # the linear table's interpolation term, and the sphere kernel table's
         interp = step * step / 8.0 * dk / r[0] ** 2
+        if self.kernel == "sphere":
+            interp += cdf_table(self.n).bound
 
         def bound(count: int) -> float:
             return _compression_bound(r, w, _equal_width_starts(r, count), c_k) + interp

@@ -357,16 +357,6 @@ def small_ball(spec: SystemSpec, budget: int = 20000, rng=0) -> SmallBallResult:
 # Lower-tail bound for sums of nonnegative unit-mean variables
 # ---------------------------------------------------------------------------
 
-class ConstantXi:
-    """xi identically 1."""
-
-    def tail_mean(self, kappa: float) -> float:
-        return 1.0 if kappa < 1.0 else 0.0
-
-    def sample_sum(self, n: int, size: int, rng) -> np.ndarray:
-        return np.full(size, float(n))
-
-
 class TwoPointXi:
     """xi = 0 or 2 with probability 1/2 each; E xi 1{xi > k} = 1 for k < 2."""
 

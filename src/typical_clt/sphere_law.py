@@ -50,9 +50,11 @@ DEFAULT_N_GRID = (4, 8, 16, 64, 256, 1024)
 # quadrature tolerance of the cf envelope check
 GAP_RATE_FACTOR = 4.0
 ENVELOPE_TOL = 1e-8
-# SphereCdfTable knots; JnTable spline step
+# Cubic Hermite tables: SphereCdfTable's knot count in the angle u on
+# [0, pi/2], JnTable's knot step in s; charfn_Jn_grid's quadrature tolerance
 CDF_TABLE_KNOTS = 16385
 JN_TABLE_STEP = 0.02
+JN_GRID_TOL = 1e-10
 # Largest n whose bulk J_n is the closed form: JnTable's cutoff search
 # fails for n in {2, 4, 8, 12} and below.
 JN_CLOSED_FORM_MAX_N = 12
@@ -146,95 +148,65 @@ def cdf(n: int, x: float) -> float:
     return 0.5 - float(_beta_half_mass(n, math.asin(-x / root)))
 
 
-def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """One-sided three-point slope at an end knot, kept shape-preserving."""
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+class HermiteTable:
+    """Cubic Hermite interpolant on the knots 0, step, 2 step, ...
 
-
-def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Knot slopes of the PCHIP interpolant, from interval widths h and secants m.
-
-    Interior knots take the weighted harmonic mean of the two secants, or
-    0 where they differ in sign or one is 0 (Fritsch-Carlson); the ends
-    take `_pchip_end_slope` (Moler, Numerical Computing with MATLAB 3.6).
+    From the values y and slopes d of f at the knots.  On each interval
+    it is the power form in s = t - knot, evaluated by Horner's rule;
+    where |f''''| <= d4 it is within `bound` = step^4/384 d4 of f.
     """
-    sign = np.sign(m)
-    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
-    d = np.empty(m.size + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # only where flat
-        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    return d
+
+    def __init__(self, y: np.ndarray, d: np.ndarray, step: float, d4: float):
+        m = np.diff(y) / step
+        self.step = step
+        self.bound = step ** 4 / 384.0 * d4
+        self._last = y.size - 2
+        self._coef = (y[:-1], d[:-1], (3.0 * m - 2.0 * d[:-1] - d[1:]) / step,
+                      (d[:-1] + d[1:] - 2.0 * m) / (step * step))
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """The interpolant at t in [0, last knot]; nan takes the last interval."""
+        j = np.fmin(t * (1.0 / self.step), self._last).astype(np.intp)
+        s = t - j * self.step
+        c0, c1, c2, c3 = self._coef
+        return c0[j] + s * (c1[j] + s * (c2[j] + s * c3[j]))
+
+
+def _rademacher_abs_moment3(k: int) -> float:
+    """E|S_k|^3 for S_k a sum of k independent random signs."""
+    j = np.arange(k + 1)
+    log_p = np.concatenate([[0.0], np.cumsum(np.log((k + 1 - j[1:]) / j[1:]))])
+    return float(np.exp(log_p - k * math.log(2.0)) @ np.abs(k - 2.0 * j) ** 3)
 
 
 class SphereCdfTable:
-    """Fast monotone interpolant of the CDF, accurate to about 1e-7.
+    """The CDF as a cubic Hermite table in the angle u, sin(u) = |x| / sqrt(n).
 
-    Used for mixture evaluation where millions of CDF lookups are needed:
-    the PCHIP interpolant through closed-form values at the knots
-    sqrt(n) sin(u), u equispaced in [0, pi/2], which crowd toward the
-    support edge where the density vanishes.  Its slopes, cubic Hermite
-    coefficients and power-form evaluation are those of scipy's
-    PchipInterpolator, operation for operation, so the two agree bit for
-    bit.  The knot interval of a point v is searchsorted(knots, v,
-    "right") - 1 (the last interval at the last knot), found from the
-    guess arcsin(v / sqrt(n)) / du and then moved to the knots it lies
-    between.
+    Used for mixture evaluation, where millions of CDF lookups are needed.
+    The half mass y(u) = W_k(u) / (2 N_k), k = n - 2, is tabulated at
+    CDF_TABLE_KNOTS equispaced angles in [0, pi/2] with its closed-form
+    slope y'(u) = cos^k(u) / (2 N_k), which is bounded for every n >= 2
+    (the slope in x, the density, is not for n < 5).  As cos^k u =
+    E cos(S_k u) for S_k a sum of k random signs, |y''''| <=
+    E|S_k|^3 / (2 N_k), so the table is within `bound` of the closed
+    form: 0 at n = 2, where y is linear, 9e-15 at n = 256 and 2.4e-12 at
+    n = 4096.  The knot interval of x is that of its angle, so no search
+    is needed.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.root = math.sqrt(n)
         u = np.linspace(0.0, math.pi / 2.0, CDF_TABLE_KNOTS)
-        x = self.root * np.sin(u)
-        y = _beta_half_mass(n, u)
-        h = np.diff(x)
-        m = np.diff(y) / h
-        d = _pchip_slopes(h, m)
-        t = (d[:-1] + d[1:] - 2.0 * m) / h
-        self._knots = x
-        # power-form coefficients of 1, s, s^2, s^3 on each interval, s = v - knot
-        self._coef = (y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)
-
-    def _interval(self, v: np.ndarray) -> np.ndarray:
-        """searchsorted(knots, v, "right") - 1, capped at the last interval.
-
-        v lies in [0, sqrt(n)] or is nan, which takes the last interval.
-        """
-        x, last = self._knots, CDF_TABLE_KNOTS - 2
-        guess = np.arcsin(v / self.root)
-        guess *= (CDF_TABLE_KNOTS - 1) / (math.pi / 2.0)
-        j = np.fmin(guess, last).astype(np.intp)
-        while True:  # the guess is off by at most a knot or so
-            down = v < x[j]
-            up = v >= x[j + 1]
-            up &= j < last
-            if not (down.any() or up.any()):
-                return j
-            j -= down
-            j += up
-
-    def _half(self, v: np.ndarray) -> np.ndarray:
-        """The interpolant of the mass on [0, v], for v in [0, sqrt(n)]."""
-        j = self._interval(v)
-        s = v - self._knots[j]
-        s2 = s * s
-        c0, c1, c2, c3 = self._coef
-        return c0[j] + c1[j] * s + c2[j] * s2 + c3[j] * (s2 * s)  # scipy's order
+        c = math.exp(_log_cn(n))  # 1 / (2 N_k)
+        self._half = HermiteTable(_beta_half_mass(n, u), c * np.cos(u) ** (n - 2),
+                                  u[1], c * _rademacher_abs_moment3(n - 2))
+        self.bound = self._half.bound
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        ax = np.clip(np.abs(x), 0.0, self.root)
-        h = self._half(ax)
-        return np.where(x >= 0.0, 0.5 + h, 0.5 - h)
+        u = np.arcsin(np.minimum(np.abs(x) / self.root, 1.0))
+        return 0.5 + np.copysign(self._half(u), x)
 
 
 @lru_cache(maxsize=64)
@@ -291,7 +263,7 @@ def charfn_Jn_grid(n: int, args) -> np.ndarray:
     """Vectorized J_n over an array of arguments (one shared rule).
 
     A subsample is recomputed at doubled panel count and must agree to
-    1e-10 in absolute value; NumericKernelError otherwise.
+    JN_GRID_TOL in absolute value; NumericKernelError otherwise.
     """
     args = np.atleast_1d(np.asarray(args, dtype=float))
     s = np.abs(args)
@@ -305,7 +277,7 @@ def charfn_Jn_grid(n: int, args) -> np.ndarray:
         sin2, g2, _ = _jn_rule(n, max_arg, panels=2 * panels)
         ref = _jn_apply(sin2, g2, s[check_idx])
         delta = float(np.max(np.abs(ref - vals[check_idx])))
-        if delta > 1e-10:
+        if delta > JN_GRID_TOL:
             raise NumericKernelError(
                 f"J_n grid quadrature not converged: n={n}, "
                 f"max_arg={max_arg:.3g}, panels={panels}, delta={delta:.3e}"
@@ -314,17 +286,18 @@ def charfn_Jn_grid(n: int, args) -> np.ndarray:
 
 
 class JnTable:
-    """Cubic-spline tabulation of J_n for bulk evaluation.
+    """J_n as a cubic Hermite table on [0, cut], for bulk evaluation.
 
-    J_n oscillates with period ~2 pi in its raw argument and its fourth
-    derivative is bounded by 1, so a JN_TABLE_STEP = 0.02 spline is
-    accurate to ~1e-9.  Beyond the cutoff (where the verified envelope has
-    dropped below 1e-12) the table returns 0.
+    Knots every JN_TABLE_STEP from 0, values from `charfn_Jn_grid` and
+    slopes from J_n'(s) = -(s/n) J_(n+2)(s).  J_n is the cf of a unit
+    sphere coordinate xi, so |J_n''''| <= E xi^4 = 3/(n(n+2)), and
+    `bound` is the Hermite term h^4/384 * 3/(n(n+2)) (3e-13 at n = 64)
+    plus the quadrature tolerance JN_GRID_TOL, carried by the values and,
+    scaled by h/4 * cut/n, by the slopes.  Beyond the cutoff (where the
+    verified envelope has dropped below 1e-12) the table returns 0.
     """
 
     def __init__(self, n: int):
-        from scipy.interpolate import CubicSpline
-
         cut = 8.0 * math.sqrt(n)
         for _ in range(8):
             probe = np.linspace(cut, 3.0 * cut, 64)
@@ -338,14 +311,13 @@ class JnTable:
         vals[0] = 1.0
         self.n = n
         self.cut = float(s[-1])
-        self._spline = CubicSpline(s, vals, extrapolate=False)
+        self._table = HermiteTable(vals, -(s / n) * charfn_Jn_grid(n + 2, s),
+                                   JN_TABLE_STEP, 3.0 / (n * (n + 2)))
+        self.bound = self._table.bound + JN_GRID_TOL * (1.0 + JN_TABLE_STEP * self.cut / (4.0 * n))
 
     def __call__(self, s) -> np.ndarray:
         s = np.abs(np.asarray(s, dtype=float))
-        out = np.zeros(s.shape)
-        inside = s <= self.cut
-        out[inside] = self._spline(s[inside])
-        return out
+        return np.where(s <= self.cut, self._table(np.fmin(s, self.cut)), 0.0)
 
 
 def _jn_hyp0f1(n: int, s) -> np.ndarray:
@@ -361,8 +333,9 @@ def jn_table(n: int):
 
     For small n the envelope decays like s^(-(n-1)/2) and never reaches
     the table's 1e-12 cutoff; there the closed form is within 6e-15 of
-    the Bessel form on s in [0, 2000].  scipy's hyp0f1 overflows to nan
-    for large n and large s (n = 512), so larger n keep the table.
+    the Bessel form on s in [0, 2000], and it is the one path that loads
+    scipy.  scipy's hyp0f1 overflows to nan for large n and large s
+    (n = 512), so larger n keep the table, in numpy and within its bound.
     """
     if n <= JN_CLOSED_FORM_MAX_N:
         return partial(_jn_hyp0f1, n)

@@ -227,13 +227,6 @@ class TestSmallBall:
 
 
 class TestLowerTail:
-    def test_constant_xi(self):
-        lt = fn.lower_tail_bound(fn.ConstantXi(), 0.5)
-        assert lt.kappa == pytest.approx(1.0, abs=1e-9)
-        assert lt.bound(100) == pytest.approx(math.exp(-100.0 / 32.0), rel=1e-6)
-        sums = fn.ConstantXi().sample_sum(100, 1000, 0)
-        assert np.mean(sums <= 50.0) == 0.0  # true probability is 0
-
     def test_two_point_xi(self):
         lt = fn.lower_tail_bound(fn.TwoPointXi(), 0.5)
         assert lt.kappa == pytest.approx(2.0, abs=1e-9)
