@@ -32,7 +32,7 @@ kernel density k; the linear interpolation of the table adds
 unbounded k', so its tables keep the ceiling count of cells and an
 infinite bound.  The sphere kernel is evaluated through a cubic Hermite
 table of the closed-form CDF (`sphere_law.SphereCdfTable`), within its
-own bound of it (2.4e-12 at n = 4096); the certified bound adds that
+own bound of it (2.3e-12 at n = 4096); the certified bound adds that
 term, so it holds against the direct sum with the closed-form kernel.
 """
 

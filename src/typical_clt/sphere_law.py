@@ -189,7 +189,7 @@ class SphereCdfTable:
     (the slope in x, the density, is not for n < 5).  As cos^k u =
     E cos(S_k u) for S_k a sum of k random signs, |y''''| <=
     E|S_k|^3 / (2 N_k), so the table is within `bound` of the closed
-    form: 0 at n = 2, where y is linear, 9e-15 at n = 256 and 2.4e-12 at
+    form: 0 at n = 2, where y is linear, 9e-15 at n = 256 and 2.3e-12 at
     n = 4096.  The knot interval of x is that of its angle, so no search
     is needed.
     """
