@@ -45,7 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, InsufficientDataError
+from .errors import (DIRECTION_FLOOR, ConfigurationError, DomainError, check_budget,
+                     check_dimension)
 from .quadrature import kernel_sum
 from .rng import make_rng, master_seed
 from .sphere_law import cdf_table, log_norm_const, sample_direction
@@ -63,6 +64,7 @@ GAUSSIAN_SPAN_FACTOR = 12.0
 
 
 def noise_floor(per_theta_budget: int) -> float:
+    check_budget(per_theta_budget, name="per_theta_budget")
     return NOISE_FLOOR_COEF / math.sqrt(per_theta_budget)
 
 
@@ -108,6 +110,8 @@ class StepCDF:
         arr = np.sort(np.asarray(samples, dtype=float))
         if arr.size == 0:
             raise DomainError("empirical CDF needs at least one sample")
+        if not (np.isfinite(arr[0]) and np.isfinite(arr[-1])):  # nan sorts last
+            raise DomainError("empirical CDF needs finite samples")
         return cls(values=arr)
 
     @property
@@ -150,17 +154,13 @@ def compress_atoms(r: np.ndarray, w: np.ndarray, starts: np.ndarray):
 
     Bin b holds the atoms from starts[b] up to the next start; its atom
     is the bin's weighted mean radius with the bin's total weight.  When
-    every atom is its own bin, the atoms come back as they are.
+    every atom is its own bin, the atoms come back as they are.  Lookup
+    tables, their certified bound and the typical cf all read this atom.
     """
     if starts.size == r.size:
         return r, w
-    bounds = np.append(starts, r.size)
-    out_r, out_w = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        wg = w[lo:hi]
-        out_w.append(wg.sum())
-        out_r.append(np.dot(r[lo:hi], wg) / wg.sum())
-    return np.asarray(out_r), np.asarray(out_w)
+    mass = np.add.reduceat(w, starts)
+    return np.add.reduceat(w * r, starts) / mass, mass
 
 
 def _kernel_constants(kernel: str, n: int | None) -> tuple[float, float]:
@@ -196,10 +196,9 @@ def _compression_bound(r: np.ndarray, w: np.ndarray, starts: np.ndarray,
 
     r sorted ascending; bin b holds the atoms from starts[b] up to the
     next start.  The first-order Taylor term cancels because each bin's
-    atom sits at its weighted mean radius.
+    atom sits at its weighted mean radius, that of `compress_atoms`.
     """
-    mass = np.add.reduceat(w, starts)
-    mean = np.add.reduceat(w * r, starts) / mass
+    mean, _ = compress_atoms(r, w, starts)
     dev = r - np.repeat(mean, np.diff(starts, append=r.size))
     spread = np.add.reduceat(w * np.square(dev), starts)
     return 0.5 * c_k * float(np.sum(spread / np.square(r[starts])))
@@ -233,8 +232,8 @@ class MixtureCDF:
         self.weights = self.weights / total
         if self.kernel not in ("gaussian", "sphere"):
             raise DomainError(f"unknown kernel {self.kernel!r}")
-        if self.kernel == "sphere" and (self.n is None or self.n < 2):
-            raise DomainError("sphere kernel needs a dimension n >= 2")
+        if self.kernel == "sphere":
+            self.n = check_dimension(self.n)
 
     # -- kernel primitives --------------------------------------------------
 
@@ -334,7 +333,7 @@ def gaussian_mixture_cdf(atoms) -> MixtureCDF:
     return MixtureCDF(radii=radii, weights=weights, kernel="gaussian")
 
 
-def _radial_atoms(spec: SystemSpec, radial_budget: int, rng):
+def radial_atoms(spec: SystemSpec, radial_budget: int, rng):
     """Atoms r = |X|/sqrt(n) of `radial_budget` draws, each of weight 1/N.
 
     Fixed-norm systems give the single atom r = 1 exactly.
@@ -347,7 +346,7 @@ def _radial_atoms(spec: SystemSpec, radial_budget: int, rng):
 
 def typical_cdf(spec: SystemSpec, radial_budget: int = 100_000, rng=0) -> MixtureCDF:
     """Typical distribution F as a sphere-kernel mixture over r = |X|/sqrt(n)."""
-    r, w = _radial_atoms(spec, radial_budget, rng)
+    r, w = radial_atoms(spec, radial_budget, rng)
     return MixtureCDF(radii=r, weights=w, kernel="sphere", n=spec.n)
 
 
@@ -413,7 +412,7 @@ def build_target(spec: SystemSpec, target: str, radial_budget: int, rng) -> Mixt
     if target == "F":
         return typical_cdf(spec, radial_budget, rng)
     if target == "G":  # law of r Z with Z standard normal
-        r, w = _radial_atoms(spec, radial_budget, rng)
+        r, w = radial_atoms(spec, radial_budget, rng)
         return MixtureCDF(radii=r, weights=w, kernel="gaussian")
     raise DomainError(f"unknown target {target!r}; expected one of phi, F, G")
 
@@ -440,10 +439,8 @@ def mean_theta_distances(
     itself from its cell's keys, so the results do not depend on `threads`.
     """
     check_threads(threads)
-    if theta_budget < 2:
-        raise InsufficientDataError("need at least 2 directions for a standard error")
-    if per_theta_budget < 100:
-        raise InsufficientDataError("need at least 100 samples per direction")
+    check_budget(theta_budget, DIRECTION_FLOOR, "theta_budget")
+    check_budget(per_theta_budget, name="per_theta_budget")
     cells = list(cells)
     specs = [spec for spec, _ in cells]
     masters = [master_seed(rng) for _, rng in cells]

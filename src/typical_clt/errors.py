@@ -1,8 +1,17 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checks that raise them.
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2, numeric-kernel failures with 3, failed inequality checks with 1.
+Each rule on arguments is written once here and called by every entry
+point it governs, where the object is built, never per lookup.
 """
+
+import numbers
+
+# Monte Carlo floors: draws, pairs or radial draws of an estimate, and
+# directions of a standard error over directions.
+BUDGET_FLOOR = 100
+DIRECTION_FLOOR = 2
 
 
 class DomainError(ValueError):
@@ -23,3 +32,16 @@ class NumericKernelError(RuntimeError):
 
 class FitUnavailableError(RuntimeError):
     """Too few admissible rows to fit a convergence rate."""
+
+
+def check_dimension(n) -> int:
+    """The dimension of a sphere law or direction: an integer n >= 2, returned as int."""
+    if not (isinstance(n, numbers.Real) and n >= 2 and float(n).is_integer()):
+        raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
+    return int(n)
+
+
+def check_budget(budget: int, floor: int = BUDGET_FLOOR, name: str = "budget") -> None:
+    """The floor of a Monte Carlo budget: InsufficientDataError below it."""
+    if budget < floor:
+        raise InsufficientDataError(f"{name} must be at least {floor}, got {budget}")

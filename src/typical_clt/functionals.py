@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reports
-from .errors import DomainError, InsufficientDataError, NumericKernelError
+from .errors import DomainError, NumericKernelError, check_budget
 from .quadrature import blocks
 from .reports import BoundCheck, BoundCheckReport
 from .rng import as_rng, make_rng
@@ -52,12 +52,6 @@ def check_order(p: float) -> None:
     """The moment orders of this module: finite p >= 1."""
     if not (math.isfinite(p) and p >= 1):
         raise DomainError(f"moment order must be finite with p >= 1, got {p}")
-
-
-def _check_budget(budget: int) -> None:
-    """The sample budgets (draws or pairs) of the estimators: at least 100."""
-    if budget < 100:
-        raise InsufficientDataError(f"need a budget of at least 100, got {budget}")
 
 
 def _bootstrap_se(values: np.ndarray, statistic, rng: np.random.Generator):
@@ -193,7 +187,7 @@ def moment_Mp(spec: SystemSpec, p: float, budget: int = 20000, rng=0) -> MomentE
     analytic = _analytic_Mp(spec, p)
     if analytic is not None:
         return MomentEstimate(value=analytic, se=0.0, strategy="analytic")
-    _check_budget(budget)
+    check_budget(budget)
     return _search_Mp(spec, p, budget, rng)
 
 
@@ -233,7 +227,7 @@ def _pair_inner_products(spec: SystemSpec, pairs: int, rng) -> np.ndarray:
 def moment_mp(spec: SystemSpec, p: float, pairs: int = 20000, rng=0) -> Estimate:
     """m_p estimate over independent pairs, with delta-method SE."""
     check_order(p)
-    _check_budget(pairs)
+    check_budget(pairs, name="pairs")
     v = _abs_pow(_pair_inner_products(spec, pairs, rng), p)
     root_n = math.sqrt(spec.n)
     return Estimate(value=float(v.mean() ** (1.0 / p) / root_n),
@@ -243,7 +237,7 @@ def moment_mp(spec: SystemSpec, p: float, pairs: int = 20000, rng=0) -> Estimate
 def sigma_2p(spec: SystemSpec, p: float, budget: int = 20000, rng=0) -> Estimate:
     """sigma_{2p} estimate: sqrt(n) (E | |X|^2/n - 1 |^p)^(1/p)."""
     check_order(p)
-    _check_budget(budget)
+    check_budget(budget)
     gen = as_rng(rng, "sigma")
     dev = _abs_pow(squared_norms(spec, budget, gen) / spec.n - 1.0, p)
     root_n = math.sqrt(spec.n)
@@ -269,7 +263,7 @@ def norm_variance_check(spec: SystemSpec, budget: int = 20000, rng=0) -> BoundCh
     quantity is zero up to float epsilon, and the chain must hold with
     equality rather than fail on rounding noise.
     """
-    _check_budget(budget)
+    check_budget(budget)
     # squared norms are exact for the +-1-valued systems; take sqrt after
     sq = squared_norms(spec, budget, as_rng(rng, "normvar"))
     n = spec.n
@@ -329,7 +323,7 @@ def small_ball(spec: SystemSpec, budget: int = 20000, rng=0) -> SmallBallResult:
     that is 4^2 m_2^2 / n + 4^4 s_4^4 / n^2, evaluated from estimates on
     the same pair sample, the pairs of `_pair_blocks` (keys "sb_x", "sb_y").
     """
-    _check_budget(budget)
+    check_budget(budget)
     n = spec.n
     diff2, ip, sq = np.empty(budget), np.empty(budget), np.empty(budget)
     for b, x, y in _pair_blocks(spec, budget, rng, ("sb_x", "sb_y")):

@@ -35,7 +35,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import DomainError, NumericKernelError
+from .errors import DomainError, NumericKernelError, check_dimension
 from .quadrature import kernel_sum, panel_nodes
 from .reports import BoundCheck, BoundCheckReport
 from .rng import as_rng
@@ -66,21 +66,19 @@ def normal_pdf(x):
 
 def log_norm_const(n: int) -> float:
     """log of the density normalizing constant for dimension n."""
-    if n < 2 or int(n) != n:
-        raise DomainError(f"dimension must be an integer >= 2, got {n}")
-    n = int(n)
+    n = check_dimension(n)
     return math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0) - 0.5 * math.log(math.pi * n)
 
 
 @dataclass(frozen=True)
 class Direction:
-    """Unit vector in R^n; squared norm within 1e-12 of 1."""
+    """Unit vector in R^n; squared norm within 1e-12 of 1, so every coordinate finite."""
 
     coords: np.ndarray
 
     def __post_init__(self):
         nrm2 = float(np.dot(self.coords, self.coords))
-        if abs(nrm2 - 1.0) > 1e-12:
+        if not abs(nrm2 - 1.0) <= 1e-12:  # a nan or inf coordinate fails too
             raise DomainError(f"direction is not unit length: |theta|^2 = {nrm2!r}")
 
     @property
@@ -116,7 +114,7 @@ def _beta_half_mass(n: int, u):
     scipy's betainc up to n = 4096.  The power cos^(j-1) u is stepped as
     p - p sin^2 u, not p cos^2 u: a float cos^2 u near 1 carries a
     relative error of ~1e-16 that the power raises n-fold.  The mass is
-    capped at 1/2 against rounding.
+    capped at 1/2 against rounding; a nan angle gives nan.
     """
     u = np.asarray(u, dtype=float)
     sin_u, cos_u = np.sin(u), np.cos(u)
@@ -133,11 +131,12 @@ def _beta_half_mass(n: int, u):
         w += term
         np.multiply(p, sin2, out=term)
         p -= term
-    return 0.5 * np.fmin(w, 1.0)
+    return 0.5 * np.minimum(w, 1.0)
 
 
 def cdf(n: int, x: float) -> float:
-    """CDF at x in closed form; symmetric by construction, cdf(0) = 1/2."""
+    """CDF at x in closed form; symmetric by construction, cdf(0) = 1/2, cdf(nan) = nan."""
+    n = check_dimension(n)
     root = math.sqrt(n)
     if x <= -root:
         return 0.0
@@ -195,7 +194,7 @@ class SphereCdfTable:
     """
 
     def __init__(self, n: int):
-        self.n = n
+        self.n = n = check_dimension(n)
         self.root = math.sqrt(n)
         u = np.linspace(0.0, math.pi / 2.0, CDF_TABLE_KNOTS)
         c = math.exp(_log_cn(n))  # 1 / (2 N_k)
@@ -216,11 +215,10 @@ def cdf_table(n: int) -> SphereCdfTable:
 
 def sample_direction(n: int, rng) -> Direction:
     """Uniform direction on S^(n-1) by normalizing a Gaussian vector."""
-    if n < 2 or int(n) != n:
-        raise DomainError(f"dimension must be an integer >= 2, got {n}")
+    n = check_dimension(n)
     gen = as_rng(rng)
     while True:
-        g = gen.standard_normal(int(n))
+        g = gen.standard_normal(n)
         nrm = np.linalg.norm(g)
         if nrm > 0.0:  # all-zero draw has probability 0; resample if it happens
             return Direction(coords=g / nrm)
@@ -265,6 +263,7 @@ def charfn_Jn_grid(n: int, args) -> np.ndarray:
     A subsample is recomputed at doubled panel count and must agree to
     JN_GRID_TOL in absolute value; NumericKernelError otherwise.
     """
+    n = check_dimension(n)
     args = np.atleast_1d(np.asarray(args, dtype=float))
     s = np.abs(args)
     max_arg = float(s.max()) if s.size else 0.0
@@ -293,20 +292,22 @@ class JnTable:
     sphere coordinate xi, so |J_n''''| <= E xi^4 = 3/(n(n+2)), and
     `bound` is the Hermite term h^4/384 * 3/(n(n+2)) (3e-13 at n = 64)
     plus the quadrature tolerance JN_GRID_TOL, carried by the values and,
-    scaled by h/4 * cut/n, by the slopes.  Beyond the cutoff (where the
-    verified envelope has dropped below 1e-12) the table returns 0.
+    scaled by h/4 * cut/n, by the slopes.  The cutoff is the largest
+    argument `max_arg` a caller reads (nan beyond), or where the verified
+    envelope has dropped below 1e-12 if that comes first (0 beyond).
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, max_arg: float):
         cut = 8.0 * math.sqrt(n)
         for _ in range(8):
             probe = np.linspace(cut, 3.0 * cut, 64)
-            if float(np.abs(charfn_Jn_grid(n, probe)).max()) < 1e-12:
+            if cut >= max_arg or float(np.abs(charfn_Jn_grid(n, probe)).max()) < 1e-12:
                 break
             cut *= 1.5
         else:
             raise NumericKernelError(f"J_n envelope does not decay by s={cut} (n={n})")
-        s = np.arange(0.0, cut + JN_TABLE_STEP, JN_TABLE_STEP)
+        self._beyond = 0.0 if cut < max_arg else math.nan
+        s = np.arange(0.0, min(cut, max(max_arg, JN_TABLE_STEP)) + JN_TABLE_STEP, JN_TABLE_STEP)
         vals = charfn_Jn_grid(n, s)
         vals[0] = 1.0
         self.n = n
@@ -317,7 +318,7 @@ class JnTable:
 
     def __call__(self, s) -> np.ndarray:
         s = np.abs(np.asarray(s, dtype=float))
-        return np.where(s <= self.cut, self._table(np.fmin(s, self.cut)), 0.0)
+        return np.where(s <= self.cut, self._table(np.fmin(s, self.cut)), self._beyond)
 
 
 def _jn_hyp0f1(n: int, s) -> np.ndarray:
@@ -328,8 +329,8 @@ def _jn_hyp0f1(n: int, s) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def jn_table(n: int):
-    """Bulk J_n evaluator: the closed form for n <= JN_CLOSED_FORM_MAX_N, else a JnTable.
+def jn_table(n: int, max_arg: float):
+    """Bulk J_n on [0, max_arg]: the closed form for n <= JN_CLOSED_FORM_MAX_N, else a JnTable.
 
     For small n the envelope decays like s^(-(n-1)/2) and never reaches
     the table's 1e-12 cutoff; there the closed form is within 6e-15 of
@@ -337,9 +338,10 @@ def jn_table(n: int):
     scipy.  scipy's hyp0f1 overflows to nan for large n and large s
     (n = 512), so larger n keep the table, in numpy and within its bound.
     """
+    n = check_dimension(n)
     if n <= JN_CLOSED_FORM_MAX_N:
         return partial(_jn_hyp0f1, n)
-    return JnTable(n)
+    return JnTable(n, max_arg)
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +384,9 @@ def gap_report(n_grid=DEFAULT_N_GRID, reference_n: int = 64) -> BoundCheckReport
     |J_n(t sqrt n)| never exceeds 4.1 e^(-t^2/2) + 4 e^(-n/12) beyond
     ENVELOPE_TOL.
     """
-    n_grid = tuple(int(n) for n in n_grid)
-    if any(n < 2 for n in n_grid):
-        raise DomainError("gap_report requires every n >= 2")
+    n_grid = tuple(check_dimension(n) for n in n_grid)
+    if not n_grid:
+        raise DomainError("gap_report needs at least one n")
     report = BoundCheckReport()
     nd, nk = {}, {}
     for n in n_grid:
@@ -402,9 +404,9 @@ def gap_report(n_grid=DEFAULT_N_GRID, reference_n: int = 64) -> BoundCheckReport
         ))
 
     def family_check(scaled: dict, name: str, statement: str):
-        ref = scaled.get(reference_n, None)
-        if ref is None:
-            ref = scaled[sorted(scaled)[len(scaled) // 2]]
+        if not scaled:  # the density family has no n < 3
+            return
+        ref = scaled.get(reference_n, scaled[sorted(scaled)[len(scaled) // 2]])
         for n, v in scaled.items():
             ratio = max(v / ref, ref / v) if min(v, ref) > 0 else math.inf
             report.add(BoundCheck(

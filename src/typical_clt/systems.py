@@ -203,13 +203,15 @@ def _draw(draw, count: int, rng, width: int) -> np.ndarray:
     return out
 
 
+def _check_direction(n: int, theta: Direction) -> None:
+    """The direction of a projection or cf has the system's dimension n."""
+    if theta.n != n:
+        raise DomainError(f"dimension mismatch: system has n={n}, direction has n={theta.n}")
+
+
 def weighted_sum(batch: SampleBatch, theta: Direction) -> np.ndarray:
     """Row-wise inner products <X, theta>."""
-    if batch.matrix.shape[1] != theta.n:
-        raise DomainError(
-            f"dimension mismatch: batch has n={batch.matrix.shape[1]}, "
-            f"direction has n={theta.n}"
-        )
+    _check_direction(batch.matrix.shape[1], theta)
     return batch.matrix @ theta.coords
 
 
@@ -266,9 +268,7 @@ def project(spec: SystemSpec, theta: Direction, count: int, rng) -> np.ndarray:
     Equals weighted_sum(sample_vector(spec, count, rng), theta) up to
     rounding; see the module docstring for when it is bit for bit.
     """
-    if spec.n != theta.n:
-        raise DomainError(
-            f"dimension mismatch: system has n={spec.n}, direction has n={theta.n}")
+    _check_direction(spec.n, theta)
     if spec.kind == "trigonometric":  # z and p: one complex per row
         return _draw(_trig_projector(theta), count, rng, 2)
     if spec.kind == "walsh":  # the m sign bits of a row
@@ -339,9 +339,7 @@ def direction_cf(spec: SystemSpec, theta: Direction, t) -> np.ndarray:
     mean over the 2^m values of `_walsh_values`.  Trigonometric: see
     `_trig_cf`, which raises NumericKernelError if its grid fails to settle.
     """
-    if spec.n != theta.n:
-        raise DomainError(
-            f"dimension mismatch: system has n={spec.n}, direction has n={theta.n}")
+    _check_direction(spec.n, theta)
     t = np.asarray(t, dtype=float)
     if spec.kind == "walsh":
         return _mean_exp(_walsh_values(theta), t)

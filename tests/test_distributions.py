@@ -353,16 +353,16 @@ class TestMeanThetaDistance:
 
     @pytest.fixture
     def table_builds(self, monkeypatch):
-        # every lookup-table build compresses its atoms exactly once; the
-        # list records the atom count of each build
+        # every lookup-table build certifies its cell count exactly once;
+        # the list records the atom count of each build
         builds = []
-        original = di.compress_atoms
+        original = di.MixtureCDF._certified_count
 
-        def counting(radii, *args):
+        def counting(self, radii, weights):
             builds.append(radii.size)
-            return original(radii, *args)
+            return original(self, radii, weights)
 
-        monkeypatch.setattr(di, "compress_atoms", counting)
+        monkeypatch.setattr(di.MixtureCDF, "_certified_count", counting)
         return builds
 
     def test_table_built_once_when_read(self, table_builds):

@@ -149,6 +149,11 @@ class TestCdf:
         assert np.array_equal(table(xs), [0.0, 0.0, 0.5, 0.5, 1.0, 1.0, np.nan],
                               equal_nan=True)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 64])
+    def test_closed_form_keeps_nan(self, n):
+        # as the table does: the half mass's cap at 1/2 must not drop a nan
+        assert math.isnan(sl.cdf(n, math.nan))
+
 
 class TestSampleDirection:
     def test_unit_norm(self):
@@ -223,19 +228,26 @@ class TestCharfnJn:
         # at every interval midpoint, within the table's bound (its Hermite
         # and quadrature terms) plus the reference quadrature's tolerance
         for n in (13, 16, 48, 64, 256):
-            table = sl.jn_table(n)
+            table = sl.jn_table(n, 200.0)
             knots = np.arange(0.0, table.cut + sl.JN_TABLE_STEP, sl.JN_TABLE_STEP)
             mid = 0.5 * (knots[1:] + knots[:-1])
             err = np.abs(table(mid) - sl.charfn_Jn_grid(n, mid)).max()
             assert err <= table.bound + sl.JN_GRID_TOL, n
         assert table(table.cut + 1.0) == 0.0
 
+    def test_table_spans_the_arguments_asked_for(self):
+        # J_13's envelope reaches 1e-12 only at s = 493; a table asked for
+        # s <= 53 stops there and reads nan beyond it, not a false 0
+        table = sl.jn_table(13, 53.0)
+        assert 53.0 <= table.cut < 53.0 + 2.0 * sl.JN_TABLE_STEP
+        assert math.isnan(table(table.cut + 1.0))
+
     @pytest.mark.parametrize("n", range(2, 17))
     def test_bulk_evaluator_small_n(self, n):
         # the table's cutoff search fails for n in {2, 4, 8, 12}; those n
         # take the closed form 0F1(; n/2; -s^2/4)
         s = np.linspace(0.0, 60.0, 301)
-        bulk = sl.jn_table(n)(s)
+        bulk = sl.jn_table(n, 60.0)(s)
         assert bulk[0] == 1.0
         assert np.abs(bulk - sl.charfn_Jn_grid(n, s)).max() < 1e-9
 
@@ -280,6 +292,13 @@ class TestGapReport:
     def test_domain(self):
         with pytest.raises(DomainError):
             sl.gap_report(n_grid=(1, 4))
+        with pytest.raises(DomainError):
+            sl.gap_report(n_grid=())
+
+    def test_n2_alone_has_no_density_rows(self):
+        # the density family starts at n = 3; the cf rows still come
+        rep = sl.gap_report(n_grid=(2,), reference_n=2)
+        assert sorted(c.name for c in rep.checks) == ["cf_envelope", "cf_gap_rate"]
 
 
 @settings(max_examples=25)
