@@ -76,15 +76,12 @@ def charfn_typical(spec: SystemSpec, t_grid, radial_budget: int = 100_000,
                    rng=0) -> CharFnEstimate:
     """cf of the typical distribution: f(t) = E J_n(t sqrt(n) r), r = |X|/sqrt(n).
 
-    The expectation runs over the radial atoms of `distributions.
-    radial_atoms`, quantile-compressed for bulk J_n evaluation; a
-    fixed-norm system has the one atom r = 1, so J_n(t sqrt n) exactly,
-    with zero standard error.  J_n is tabulated only up to the largest
+    The expectation runs over `distributions.radial_atoms`, compressed for
+    bulk J_n evaluation; a fixed-norm system has the one atom r = 1, so
+    J_n(t sqrt n) exactly with zero SE.  `jn_table` spans the largest
     argument read, max |t| sqrt(n) times the largest atom.
     """
     t = np.asarray(t_grid, dtype=float)
-    if not spec.is_fixed_norm:
-        check_budget(radial_budget, name="radial_budget")
     r, w = radial_atoms(spec, radial_budget, rng)
     radii, weights = compress_atoms(np.sort(r), w, equal_mass_starts(w, CF_COMPRESS_ATOMS))
     ts = t * math.sqrt(spec.n)
@@ -116,21 +113,6 @@ def _per_theta_cf_matrix(spec: SystemSpec, t: np.ndarray, theta_budget: int,
     return rows
 
 
-def _per_t_checks(spec: SystemSpec, t: np.ndarray, per_theta: np.ndarray, lhs, rhs,
-                  name: str, statement: str, seed: int, budget: int,
-                  extra: dict) -> BoundCheckReport:
-    """One check lhs <= rhs per t, with SLACK_SE standard errors of the
-    direction mean of `per_theta` (one row per direction) as slack."""
-    se = per_theta.std(axis=0, ddof=1) / math.sqrt(per_theta.shape[0])
-    report = BoundCheckReport()
-    for k in range(t.shape[0]):
-        report.add(BoundCheck(
-            name=name, statement=statement, lhs=float(lhs[k]), rhs=float(rhs[k]),
-            slack=reports.SLACK_SE * float(se[k]), spec_id=spec.spec_id, n=spec.n,
-            seed=seed, budget=budget, extra={"t": float(t[k]), **extra}))
-    return report
-
-
 def poincare_gap_check(spec: SystemSpec, t_grid, theta_budget: int = 48,
                        rng=0) -> BoundCheckReport:
     """Check E_theta |f_theta(t) - f(t)|^2 <= t^2 M_1^2 / (n - 1).
@@ -148,10 +130,19 @@ def poincare_gap_check(spec: SystemSpec, t_grid, theta_budget: int = 48,
     center = rows.mean(axis=0)
     sq_dev = np.square(np.abs(rows - center[None, :]))
     lhs = sq_dev.sum(axis=0) / (theta_budget - 1)
+    se = sq_dev.std(axis=0, ddof=1) / math.sqrt(theta_budget)
     rhs = np.square(t) * m1_sq / (spec.n - 1)
-    return _per_t_checks(spec, t, sq_dev, lhs, rhs, "cf_direction_variance",
-                         "E_theta |f_theta(t) - f(t)|^2 <= t^2 M_1^2 / (n-1)",
-                         seed, 0, {"theta_budget": theta_budget})
+    report = BoundCheckReport()
+    for k in range(t.shape[0]):
+        slack = reports.SLACK_SE * float(se[k])
+        report.add(BoundCheck(
+            name="cf_direction_variance",
+            statement="E_theta |f_theta(t) - f(t)|^2 <= t^2 M_1^2 / (n-1)",
+            lhs=float(lhs[k]), rhs=float(rhs[k]), slack=slack,
+            spec_id=spec.spec_id, n=spec.n, seed=seed, budget=0,
+            extra={"t": float(t[k]), "theta_budget": theta_budget},
+        ))
+    return report
 
 
 def decay_bound_check(spec: SystemSpec, t_grid, theta_budget: int = 48,
@@ -163,17 +154,27 @@ def decay_bound_check(spec: SystemSpec, t_grid, theta_budget: int = 48,
     """
     seed = master_seed(rng)
     t = np.asarray(t_grid, dtype=float)
-    rows = _per_theta_cf_matrix(spec, t, theta_budget, seed)
     sb = small_ball(spec, budget=sample_budget, rng=make_rng(seed, "decay_sb"))
     p_hat = sb.empirical
     p_up = p_hat + reports.SLACK_SE * sb.se
+    rows = _per_theta_cf_matrix(spec, t, theta_budget, seed)
     mags = np.abs(rows)
+    lhs = mags.mean(axis=0)
+    se = mags.std(axis=0, ddof=1) / math.sqrt(theta_budget)
     rhs = 2.1 * (np.exp(-np.square(t) / 16.0) + math.exp(-spec.n / 24.0)
                  + math.sqrt(p_up))
-    return _per_t_checks(spec, t, mags, mags.mean(axis=0), rhs, "cf_decay_bound",
-                         "E_theta |f_theta(t)| <= 2.1 (exp(-t^2/16) + exp(-n/24) "
-                         "+ sqrt(P{|X-Y|^2 <= n/4}))",
-                         seed, sample_budget, {"small_ball": p_hat})
+    report = BoundCheckReport()
+    for k in range(t.shape[0]):
+        slack = reports.SLACK_SE * float(se[k])
+        report.add(BoundCheck(
+            name="cf_decay_bound",
+            statement="E_theta |f_theta(t)| <= 2.1 (exp(-t^2/16) + exp(-n/24) "
+                      "+ sqrt(P{|X-Y|^2 <= n/4}))",
+            lhs=float(lhs[k]), rhs=float(rhs[k]), slack=slack,
+            spec_id=spec.spec_id, n=spec.n, seed=seed, budget=sample_budget,
+            extra={"t": float(t[k]), "small_ball": p_hat},
+        ))
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -108,10 +108,9 @@ class StepCDF:
     @classmethod
     def from_samples(cls, samples) -> "StepCDF":
         arr = np.sort(np.asarray(samples, dtype=float))
-        if arr.size == 0:
-            raise DomainError("empirical CDF needs at least one sample")
-        if not (np.isfinite(arr[0]) and np.isfinite(arr[-1])):  # nan sorts last
-            raise DomainError("empirical CDF needs finite samples")
+        # nan sorts last, so the two ends show any non-finite sample
+        if arr.size == 0 or not (np.isfinite(arr[0]) and np.isfinite(arr[-1])):
+            raise DomainError("empirical CDF needs at least one sample, all finite")
         return cls(values=arr)
 
     @property
@@ -336,10 +335,11 @@ def gaussian_mixture_cdf(atoms) -> MixtureCDF:
 def radial_atoms(spec: SystemSpec, radial_budget: int, rng):
     """Atoms r = |X|/sqrt(n) of `radial_budget` draws, each of weight 1/N.
 
-    Fixed-norm systems give the single atom r = 1 exactly.
+    Fixed-norm systems give the single atom r = 1 exactly, whatever the budget.
     """
     if spec.is_fixed_norm:
         return np.array([1.0]), np.array([1.0])
+    check_budget(radial_budget, name="radial_budget")
     r = np.sqrt(squared_norms(spec, radial_budget, rng)) / math.sqrt(spec.n)
     return r, np.full(r.size, 1.0 / r.size)
 

@@ -2,8 +2,7 @@
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2, numeric-kernel failures with 3, failed inequality checks with 1.
-Each rule on arguments is written once here and called by every entry
-point it governs, where the object is built, never per lookup.
+Each argument rule is written once here, checked where an object is built.
 """
 
 import numbers

@@ -284,6 +284,11 @@ def charfn_Jn_grid(n: int, args) -> np.ndarray:
     return vals
 
 
+def _jn_cuts(n: int) -> np.ndarray:
+    """A J_n table's candidate cutoffs 8 sqrt(n) 1.5^k, k = 0, ..., 7."""
+    return 8.0 * math.sqrt(n) * 1.5 ** np.arange(8.0)
+
+
 class JnTable:
     """J_n as a cubic Hermite table on [0, cut], for bulk evaluation.
 
@@ -292,22 +297,21 @@ class JnTable:
     sphere coordinate xi, so |J_n''''| <= E xi^4 = 3/(n(n+2)), and
     `bound` is the Hermite term h^4/384 * 3/(n(n+2)) (3e-13 at n = 64)
     plus the quadrature tolerance JN_GRID_TOL, carried by the values and,
-    scaled by h/4 * cut/n, by the slopes.  The cutoff is the largest
-    argument `max_arg` a caller reads (nan beyond), or where the verified
-    envelope has dropped below 1e-12 if that comes first (0 beyond).
+    scaled by h/4 * cut/n, by the slopes.  Cut: the first `_jn_cuts(n)[k]`,
+    k < reach <= 8, past which the verified envelope is below 1e-12 (0
+    beyond), else `_jn_cuts(n)[reach]` (nan beyond; reach 8 must find one).
     """
 
-    def __init__(self, n: int, max_arg: float):
-        cut = 8.0 * math.sqrt(n)
-        for _ in range(8):
-            probe = np.linspace(cut, 3.0 * cut, 64)
-            if cut >= max_arg or float(np.abs(charfn_Jn_grid(n, probe)).max()) < 1e-12:
+    def __init__(self, n: int, reach: int):
+        cuts, self._beyond = _jn_cuts(n), math.nan
+        for k in range(reach):
+            probe = charfn_Jn_grid(n, np.linspace(cuts[k], 3.0 * cuts[k], 64))
+            if float(np.abs(probe).max()) < 1e-12:
+                self._beyond, reach = 0.0, k
                 break
-            cut *= 1.5
-        else:
-            raise NumericKernelError(f"J_n envelope does not decay by s={cut} (n={n})")
-        self._beyond = 0.0 if cut < max_arg else math.nan
-        s = np.arange(0.0, min(cut, max(max_arg, JN_TABLE_STEP)) + JN_TABLE_STEP, JN_TABLE_STEP)
+        if reach == cuts.size:
+            raise NumericKernelError(f"J_n envelope does not decay by s={cuts[-1]} (n={n})")
+        s = np.arange(0.0, cuts[reach] + JN_TABLE_STEP, JN_TABLE_STEP)
         vals = charfn_Jn_grid(n, s)
         vals[0] = 1.0
         self.n = n
@@ -328,7 +332,6 @@ def _jn_hyp0f1(n: int, s) -> np.ndarray:
     return hyp0f1(0.5 * n, -0.25 * np.square(np.asarray(s, dtype=float)))
 
 
-@lru_cache(maxsize=32)
 def jn_table(n: int, max_arg: float):
     """Bulk J_n on [0, max_arg]: the closed form for n <= JN_CLOSED_FORM_MAX_N, else a JnTable.
 
@@ -336,12 +339,15 @@ def jn_table(n: int, max_arg: float):
     the table's 1e-12 cutoff; there the closed form is within 6e-15 of
     the Bessel form on s in [0, 2000], and it is the one path that loads
     scipy.  scipy's hyp0f1 overflows to nan for large n and large s
-    (n = 512), so larger n keep the table, in numpy and within its bound.
+    (n = 512), so larger n keep the table, cached per `_jn_cuts` interval.
     """
     n = check_dimension(n)
     if n <= JN_CLOSED_FORM_MAX_N:
         return partial(_jn_hyp0f1, n)
-    return JnTable(n, max_arg)
+    return _jn_table(n, int(np.searchsorted(_jn_cuts(n), max_arg)))
+
+
+_jn_table = lru_cache(maxsize=32)(JnTable)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +397,7 @@ def gap_report(n_grid=DEFAULT_N_GRID, reference_n: int = 64) -> BoundCheckReport
     nd, nk = {}, {}
     for n in n_grid:
         if n >= 3:
-            d_sup = _density_gap_sup(n)
-            nd[n] = n * d_sup
+            nd[n] = n * _density_gap_sup(n)
         k_sup, excess = _cf_gap_and_envelope(n)
         nk[n] = n * k_sup
         report.add(BoundCheck(

@@ -366,13 +366,13 @@ class TestMeanThetaDistance:
         return builds
 
     def test_table_built_once_when_read(self, table_builds):
-        # 64 atoms x 320000 jump points per direction take the table path;
+        # 100 atoms x 320000 jump points per direction take the table path;
         # both pool threads read it, and one of them builds it
-        assert 64 * 320_000 > di.EXACT_PRODUCT_LIMIT
+        assert 100 * 320_000 > di.EXACT_PRODUCT_LIMIT
         di.mean_theta_distance(spec_iid("uniform", 16), "G", theta_budget=4,
-                               per_theta_budget=320_000, radial_budget=64,
+                               per_theta_budget=320_000, radial_budget=100,
                                rng=2, threads=2)
-        assert table_builds == [64]
+        assert table_builds == [100]
 
     def test_table_never_built_when_unread(self, table_builds):
         # 100 atoms x 1000 points are summed directly

@@ -30,7 +30,7 @@ DIMENSION = {
     "cdf_table": sl.cdf_table,
     "sample_direction": lambda n: sl.sample_direction(n, 0),
     "charfn_Jn_grid": lambda n: sl.charfn_Jn_grid(n, [1.0]),
-    "JnTable": lambda n: sl.JnTable(n, 10.0),
+    "JnTable": lambda n: sl.JnTable(n, 1),
     "jn_table": lambda n: sl.jn_table(n, 10.0),
     "gap_report": lambda n: sl.gap_report(n_grid=(n,)),
     "MixtureCDF": lambda n: di.MixtureCDF(radii=[1.0], weights=[1.0], kernel="sphere", n=n),
@@ -44,8 +44,13 @@ BUDGET = {
     "norm_variance_check": lambda b: fn.norm_variance_check(UNIFORM8, budget=b),
     "small_ball": lambda b: fn.small_ball(UNIFORM8, budget=b),
     "charfn_typical": lambda b: cf.charfn_typical(UNIFORM8, T, radial_budget=b),
+    "radial_atoms": lambda b: di.radial_atoms(UNIFORM8, b, 0),
+    "typical_cdf": lambda b: di.typical_cdf(UNIFORM8, radial_budget=b),
+    "build_target": lambda b: di.build_target(UNIFORM8, "G", b, 0),
     "mean_theta_distance": lambda b: di.mean_theta_distance(
         UNIFORM8, theta_budget=2, per_theta_budget=b),
+    "mean_theta_distance-radial": lambda b: di.mean_theta_distance(
+        UNIFORM8, "F", theta_budget=2, per_theta_budget=100, radial_budget=b),
     "decay_bound_check": lambda b: cf.decay_bound_check(
         UNIFORM8, T, theta_budget=2, sample_budget=b),
     "noise_floor": di.noise_floor,

@@ -226,9 +226,10 @@ class TestCharfnJn:
 
     def test_table_matches_direct(self):
         # at every interval midpoint, within the table's bound (its Hermite
-        # and quadrature terms) plus the reference quadrature's tolerance
+        # and quadrature terms) plus the reference quadrature's tolerance;
+        # asked for every argument, each table runs to its envelope cutoff
         for n in (13, 16, 48, 64, 256):
-            table = sl.jn_table(n, 200.0)
+            table = sl.jn_table(n, math.inf)
             knots = np.arange(0.0, table.cut + sl.JN_TABLE_STEP, sl.JN_TABLE_STEP)
             mid = 0.5 * (knots[1:] + knots[:-1])
             err = np.abs(table(mid) - sl.charfn_Jn_grid(n, mid)).max()
@@ -237,10 +238,14 @@ class TestCharfnJn:
 
     def test_table_spans_the_arguments_asked_for(self):
         # J_13's envelope reaches 1e-12 only at s = 493; a table asked for
-        # s <= 53 stops there and reads nan beyond it, not a false 0
+        # s <= 53 stops at the first candidate cutoff past it, 8 sqrt(13)
+        # 1.5^2 = 64.9, and reads nan beyond, not a false 0.  Any argument
+        # up to that cutoff reads the same cached table.
         table = sl.jn_table(13, 53.0)
-        assert 53.0 <= table.cut < 53.0 + 2.0 * sl.JN_TABLE_STEP
+        assert 64.8 < table.cut < 64.9 + sl.JN_TABLE_STEP
         assert math.isnan(table(table.cut + 1.0))
+        assert sl.jn_table(13, 44.0) is table and sl.jn_table(13, 64.8) is table
+        assert sl.jn_table(13, 66.0) is not table
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_bulk_evaluator_small_n(self, n):
