@@ -39,14 +39,13 @@ term, so it holds against the direct sum with the closed-form kernel.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DIRECTION_FLOOR, ConfigurationError, DomainError, check_budget,
-                     check_dimension)
+from .errors import (DIRECTION_FLOOR, DomainError, check_budget, check_dimension,
+                     check_threads)
 from .quadrature import kernel_sum
 from .rng import make_rng, master_seed
 from .sphere_law import cdf_table, log_norm_const, sample_direction
@@ -66,33 +65,6 @@ GAUSSIAN_SPAN_FACTOR = 12.0
 def noise_floor(per_theta_budget: int) -> float:
     check_budget(per_theta_budget, name="per_theta_budget")
     return NOISE_FLOOR_COEF / math.sqrt(per_theta_budget)
-
-
-# ---------------------------------------------------------------------------
-# Ordered parallel map
-# ---------------------------------------------------------------------------
-
-def check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ConfigurationError(f"threads must be >= 1, got {threads}")
-
-
-def ordered_map(fn, items, threads: int) -> list:
-    """[fn(x) for x in items], on min(threads, len(items)) pool threads.
-
-    Results come back in the order of `items` whatever the thread count.
-    Callers seed each item's work from its own keys, so the results do
-    not depend on the thread count either.  Threads pay off because the
-    work runs in numpy kernels that release the interpreter lock.
-    """
-    items = list(items)
-    workers = min(threads, len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    # perfbench/tracer.py replaces this module's ThreadPoolExecutor to
-    # charge pool work to the span that submitted it
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +404,7 @@ def mean_theta_distances(
     cell ahead of the directions that read it, so the next table is built
     while these directions draw.  A direction draws and sorts its sample,
     then waits for its target; as its build started first, the wait ends.
-    The last direction of a cell drops its target, so a target lives only
+    Only a cell's directions hold its build's future, so a target lives only
     while its cell is in flight: at one thread, two at a time (the one
     read and the next).  A failed task fails the call: its exception is
     raised and the tasks not yet started are cancelled.  Every task seeds
@@ -444,9 +416,6 @@ def mean_theta_distances(
     cells = list(cells)
     specs = [spec for spec, _ in cells]
     masters = [master_seed(rng) for _, rng in cells]
-    targets = {}                          # cell -> future of its target
-    pending = [theta_budget] * len(specs)  # directions of a cell not yet done
-    lock = threading.Lock()
 
     def build(k: int) -> MixtureCDF:
         mix = build_target(specs[k], target, radial_budget, make_rng(masters[k], "radial"))
@@ -456,32 +425,31 @@ def mean_theta_distances(
             mix._ensure_lut()
         return mix
 
-    def one_theta(k: int, j: int) -> float:
-        try:
-            theta = sample_direction(specs[k].n, make_rng(masters[k], "theta", j))
-            step = StepCDF.from_samples(
-                project(specs[k], theta, per_theta_budget, make_rng(masters[k], "batch", j)))
-            return kolmogorov_distance(step, targets[k].result()).rho
-        finally:
-            with lock:
-                pending[k] -= 1
-                if pending[k] == 0:
-                    del targets[k]
+    def one_theta(task) -> float:
+        k, j, target_future = task
+        theta = sample_direction(specs[k].n, make_rng(masters[k], "theta", j))
+        step = StepCDF.from_samples(
+            project(specs[k], theta, per_theta_budget, make_rng(masters[k], "batch", j)))
+        return kolmogorov_distance(step, target_future.result()).rho
 
     # perfbench/tracer.py replaces this module's ThreadPoolExecutor to
     # charge pool work to the span that submitted it
     with ThreadPoolExecutor(max_workers=min(threads, theta_budget)) as pool:
-        rhos = []
-        for k in range(len(specs) + 1):
-            if k < len(specs):
-                targets[k] = pool.submit(build, k)
-            if k > 0:
-                rhos.append([pool.submit(one_theta, k - 1, j) for j in range(theta_budget)])
+        def tasks():
+            builds = []
+            for k in range(len(specs) + 1):
+                if k < len(specs):
+                    builds.append(pool.submit(build, k))
+                if k > 0:
+                    yield from ((k - 1, j, builds[k - 1]) for j in range(theta_budget))
+
         try:
-            per_theta = [np.array([f.result() for f in cell]) for cell in rhos]
+            rhos = np.array(list(pool.map(one_theta, tasks())))
         except BaseException:
+            # map cancels its own tasks; this also cancels the queued builds
             pool.shutdown(wait=False, cancel_futures=True)
             raise
+    per_theta = rhos.reshape(len(specs), theta_budget)
     return [MeanThetaDistance(
         mean=float(rho.mean()),
         se=float(rho.std(ddof=1) / math.sqrt(theta_budget)),

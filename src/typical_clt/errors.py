@@ -41,6 +41,12 @@ def check_dimension(n) -> int:
 
 
 def check_budget(budget: int, floor: int = BUDGET_FLOOR, name: str = "budget") -> None:
-    """The floor of a Monte Carlo budget: InsufficientDataError below it."""
-    if budget < floor:
-        raise InsufficientDataError(f"{name} must be at least {floor}, got {budget}")
+    """A Monte Carlo budget: an integer >= floor, else InsufficientDataError."""
+    if not (isinstance(budget, numbers.Integral) and budget >= floor):
+        raise InsufficientDataError(f"{name} must be an integer >= {floor}, got {budget!r}")
+
+
+def check_threads(threads: int) -> None:
+    """A pool's thread count: an integer >= 1, else ConfigurationError."""
+    if not (isinstance(threads, numbers.Integral) and threads >= 1):
+        raise ConfigurationError(f"threads must be an integer >= 1, got {threads!r}")

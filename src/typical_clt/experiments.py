@@ -29,7 +29,7 @@ from . import distributions as di
 from . import functionals as fn
 from . import reports
 from . import sphere_law as sl
-from .errors import ConfigurationError, FitUnavailableError
+from .errors import ConfigurationError, FitUnavailableError, check_threads
 from .reports import BoundCheck, BoundCheckReport, check_output, write_csv
 from .rng import make_rng, master_seed
 from .systems import SystemSpec, built_in_spec, default_catalog, squared_norms
@@ -390,7 +390,9 @@ def run_verify(suite: str = "all", budget_scale: float = 1.0,
     """Run registered inequality suites; write one CSV row per check.
 
     The suites' cells run on min(threads, cells) pool threads; their
-    checks are reported in the fixed cell order.
+    checks are reported in the fixed cell order.  A failed cell fails the
+    run: its exception is raised and the cells not yet started are
+    cancelled.
     """
     if suite != "all" and suite not in SUITES:
         raise ConfigurationError(
@@ -398,12 +400,15 @@ def run_verify(suite: str = "all", budget_scale: float = 1.0,
     if not (math.isfinite(budget_scale) and budget_scale > 0.0):
         raise ConfigurationError(
             f"budget scale must be finite and positive, got {budget_scale}")
-    di.check_threads(threads)
+    check_threads(threads)
     names = list(SUITES) if suite == "all" else [suite]
     cells = [cell for name in names for cell in SUITES[name](budget_scale, seed)]
     report = BoundCheckReport()
-    for cell_report in di.ordered_map(lambda cell: cell(), cells, threads):
-        report.extend(cell_report)
+    # perfbench/tracer.py replaces distributions' ThreadPoolExecutor to
+    # charge pool work to the span that submitted it
+    with di.ThreadPoolExecutor(max_workers=min(threads, len(cells))) as pool:
+        for cell_report in pool.map(lambda cell: cell(), cells):
+            report.extend(cell_report)
     for check in report.checks:
         check.seed = seed
     header, rows = report.csv_rows()

@@ -382,9 +382,10 @@ class TestMeanThetaDistance:
         assert table_builds == []
 
     def test_pool_stress_many_cells(self):
-        # more pool threads than cores and a short switch interval, so the
-        # per-cell countdown that drops each target is raced; a lost or
-        # early drop fails a direction, a wait that never ends hangs
+        # more pool threads than cores and a short switch interval, so each
+        # direction's wait on its cell's build is raced; a direction given
+        # another cell's target changes the numbers, a wait that never ends
+        # hangs
         cells = [(spec_iid("uniform", n), 40 + n) for n in (8, 9, 10, 11, 12, 13)]
         kw = dict(theta_budget=3, per_theta_budget=300, radial_budget=300)
         serial = di.mean_theta_distances(cells, "F", threads=1, **kw)

@@ -2,8 +2,8 @@
 
 Each rule on arguments is written once: the dimension (`errors.
 check_dimension`), the Monte Carlo budget floors (`errors.check_budget`),
-the direction size of `systems`, and the finite inputs of `Direction` and
-`StepCDF`.  Each table below lists the entry points of one rule, and each
+the thread count (`errors.check_threads`), the direction size of
+`systems`, and the finite inputs of `Direction` and `StepCDF`.  Each table below lists the entry points of one rule, and each
 case feeds one of them one bad input; an entry point that skips its rule
 fails here.
 """
@@ -13,10 +13,11 @@ import pytest
 
 from typical_clt import charfn as cf
 from typical_clt import distributions as di
+from typical_clt import experiments as ex
 from typical_clt import functionals as fn
 from typical_clt import sphere_law as sl
 from typical_clt import systems as sy
-from typical_clt.errors import DomainError, InsufficientDataError
+from typical_clt.errors import ConfigurationError, DomainError, InsufficientDataError
 
 UNIFORM8 = sy.SystemSpec(kind="uniform", n=8)
 THETA4 = sl.sample_direction(4, 0)
@@ -68,6 +69,18 @@ DIRECTIONS = {
         rho_theta_budget=2, rho_sample_budget=100),
 }
 
+# entry point -> call with a thread count
+THREADS = {
+    "mean_theta_distance": lambda t: di.mean_theta_distance(
+        UNIFORM8, theta_budget=2, per_theta_budget=100, threads=t),
+    "mean_theta_distances": lambda t: di.mean_theta_distances(
+        [(UNIFORM8, 0), (UNIFORM8, 1)], theta_budget=2, per_theta_budget=100, threads=t),
+    "run_verify": lambda t: ex.run_verify(suite="tail", budget_scale=0.01, threads=t),
+    "run_sweep": lambda t: ex.run_sweep(ex.SweepConfig(
+        system="uniform", n_list=(8, 16), theta_budget=2, per_theta_budget=100,
+        radial_budget=100, output="sweep.csv"), threads=t),
+}
+
 # entry point -> call with a direction of another dimension than the system's
 DIRECTION_SIZE = {
     "weighted_sum": lambda th: sy.weighted_sum(sy.sample_vector(UNIFORM8, 3, 0), th),
@@ -86,8 +99,12 @@ CASES = [
       for name, call in DIMENSION.items() for n in (1, 2.5)),
     *(pytest.param(call, 99, InsufficientDataError, id=f"budget-{name}")
       for name, call in BUDGET.items()),
-    *(pytest.param(call, 1, InsufficientDataError, id=f"directions-{name}")
-      for name, call in DIRECTIONS.items()),
+    *(pytest.param(call, 150.5, InsufficientDataError, id=f"budget-{name}-150.5")
+      for name, call in BUDGET.items()),
+    *(pytest.param(call, k, InsufficientDataError, id=f"directions-{name}{label}")
+      for name, call in DIRECTIONS.items() for k, label in ((1, ""), (2.5, "-2.5"))),
+    *(pytest.param(call, t, ConfigurationError, id=f"threads-{name}-{t}")
+      for name, call in THREADS.items() for t in (0, 2.5)),
     *(pytest.param(call, THETA4, DomainError, id=f"direction_size-{name}")
       for name, call in DIRECTION_SIZE.items()),
     *(pytest.param(call, v, DomainError, id=f"finite-{name}-{label}")
@@ -97,6 +114,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("call, bad, error", CASES)
-def test_rule_raises_its_typed_error(call, bad, error):
+def test_rule_raises_its_typed_error(call, bad, error, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a sweep that skips its rule writes
     with pytest.raises(error):
         call(bad)

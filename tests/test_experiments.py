@@ -1,6 +1,8 @@
 import math
 import os
 import threading
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from typical_clt import experiments as ex
 from typical_clt import functionals as fn
 from typical_clt import reports
 from typical_clt import systems as sy
-from typical_clt.errors import ConfigurationError, FitUnavailableError
+from typical_clt.errors import ConfigurationError, FitUnavailableError, NumericKernelError
 from typical_clt.rng import make_rng, master_seed
 from typical_clt.sphere_law import sample_direction
 from typical_clt.systems import SystemSpec
@@ -237,6 +239,39 @@ class TestRunSweep:
                    for name in ("sweep.csv", "sweep_summary.csv")]
             assert got == expected, threads
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_direction_cancels_the_queued_builds(self, tmp_path, monkeypatch, threads):
+        # the first direction to draw at the first n raises, and the other
+        # five hold every pool thread for 0.5 s each, so no thread reaches
+        # the third n's build, queued behind them, before the error reaches
+        # the caller; only the two builds queued ahead of them ever run
+        cfg = self.small_config(tmp_path, n_list=(16, 32, 64, 128, 256), theta_budget=6,
+                                per_theta_budget=200)
+        builds, draws = [], []
+        lock = threading.Lock()
+        original_build, original_project = di.build_target, di.project
+
+        def build_target(spec, *args):
+            builds.append(spec.n)
+            return original_build(spec, *args)
+
+        def project(spec, *args):
+            if spec.n == cfg.n_list[0]:
+                with lock:
+                    draws.append(spec.n)
+                    first = len(draws) == 1
+                if first:
+                    raise NumericKernelError("no draw at the first n")
+                time.sleep(0.5)
+            return original_project(spec, *args)
+
+        monkeypatch.setattr(di, "build_target", build_target)
+        monkeypatch.setattr(di, "project", project)
+        with pytest.raises(NumericKernelError):
+            ex.run_sweep(cfg, threads=threads)
+        assert sorted(builds) == list(cfg.n_list[:2])
+        assert not os.path.exists(cfg.output)
+
     def test_gaussian_sweep_fit_unavailable(self, tmp_path):
         # the weighted sums of the normal system are exactly standard normal:
         # every row sits at the noise floor and the fit must refuse
@@ -299,6 +334,26 @@ class TestRunVerify:
                 == reports.render_csv(*serial.csv_rows()))
         if suite == "functionals":
             assert len(idents) > 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_cell_cancels_the_cells_behind_it(self, monkeypatch, threads):
+        # the first of 8 cells raises and every other cell holds its pool
+        # thread for 0.3 s; a thread freed by the error may take one more
+        # cell before the error reaches the caller, and none past those starts
+        started = []
+
+        def cell(i):
+            started.append(i)
+            if i == 0:
+                raise NumericKernelError("cell 0 failed")
+            time.sleep(0.3)
+            return reports.BoundCheckReport()
+
+        monkeypatch.setattr(ex, "SUITES", {
+            "stub": lambda scale, seed: [partial(cell, i) for i in range(8)]})
+        with pytest.raises(NumericKernelError, match="cell 0"):
+            ex.run_verify(suite="stub", threads=threads)
+        assert 0 in started and set(started) <= set(range(1 + threads))
 
     @pytest.mark.parametrize("suite", list(ex.SUITES))
     def test_seed_recorded_in_rows(self, suite):

@@ -114,9 +114,9 @@ def _search_Mp():
 
 def _sweep_targets():
     # one thread builds one target at a time; each of these holds 3.7 MB
-    # (200000 radial atoms and weights, and its table), and the last
-    # direction of an n drops its target: 14 MB traced, 25 MB with all
-    # five kept to the end
+    # (200000 radial atoms and weights, and its table), and is freed once
+    # the last direction of its n, the last holder of its build's future,
+    # has run: 14 MB traced, 25 MB with all five kept to the end
     ns = (8, 10, 12, 14, 16)
     for n in ns:
         di.cdf_table(n)
