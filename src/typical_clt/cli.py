@@ -3,26 +3,33 @@
 Subcommands: verify (inequality suites), sweep (rate experiments from a
 config file), functionals, distance, charfn.  Exit codes: 0 pass,
 1 check failure, 2 configuration error, 3 numeric-kernel failure.
+
+This module loads no numpy: `main` pins BLAS to one thread before numpy
+loads, so `--threads T` means T pool threads of one BLAS thread each.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from . import charfn as cf
-from . import distributions as di
-from . import experiments as ex
-from . import functionals as fn
 from .errors import (ConfigurationError, DomainError, FitUnavailableError,
                      InsufficientDataError, NumericKernelError)
 from .reports import check_output, format_row, write_csv
-from .systems import built_in_spec
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def pin_blas_threads() -> None:
+    """Default each BLAS thread variable to "1" (a set value wins) before numpy loads."""
+    for name in BLAS_THREAD_VARIABLES:
+        os.environ.setdefault(name, "1")
 
 
 def _moment_orders(text: str) -> tuple[float, ...]:
@@ -34,6 +41,9 @@ def _moment_orders(text: str) -> tuple[float, ...]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from . import charfn as cf, experiments as ex
+    threads_help = ("pool threads, each with one BLAS thread unless the "
+                    "environment sets the BLAS variables")
     parser = argparse.ArgumentParser(
         prog="typical-clt",
         description="Typical distributions of random weighted sums: "
@@ -46,12 +56,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["all", *ex.SUITES])
     p.add_argument("--seed", type=int, default=ex.DEFAULT_SEED)
     p.add_argument("--budget-scale", type=float, default=1.0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=threads_help)
     p.add_argument("--output", default="verify.csv")
 
     p = sub.add_parser("sweep", help="run a rate sweep from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=threads_help)
 
     p = sub.add_parser("functionals", help="estimate moment functionals")
     p.add_argument("--spec", required=True)
@@ -70,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-theta", type=int, default=ex.DEFAULT_PER_THETA)
     p.add_argument("--radial", type=int, default=ex.DEFAULT_RADIAL)
     p.add_argument("--seed", type=int, default=ex.DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=threads_help)
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("charfn", help="characteristic function of the typical law")
@@ -85,6 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
+    from . import experiments as ex
     report = ex.run_verify(suite=args.suite, budget_scale=args.budget_scale,
                            seed=args.seed, threads=args.threads,
                            output=args.output)
@@ -99,6 +110,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import experiments as ex
     config = ex.parse_config(args.config)
     try:
         fit = ex.run_sweep(config, threads=args.threads)
@@ -116,7 +128,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_functionals(args) -> int:
-    spec = built_in_spec(args.spec, args.n)
+    from . import functionals as fn, systems as sy
+    spec = sy.built_in_spec(args.spec, args.n)
     report = fn.compute_functionals(spec, p_values=args.p,
                                     budget=args.budget, seed=args.seed)
     header, rows = report.csv_rows()
@@ -130,7 +143,8 @@ def _cmd_functionals(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    spec = built_in_spec(args.spec, args.n)
+    from . import distributions as di, experiments as ex, systems as sy
+    spec = sy.built_in_spec(args.spec, args.n)
     res = di.mean_theta_distance(
         spec, args.target, theta_budget=args.theta_budget,
         per_theta_budget=args.per_theta, radial_budget=args.radial,
@@ -145,7 +159,8 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_charfn(args) -> int:
-    spec = built_in_spec(args.spec, args.n)
+    from . import charfn as cf, systems as sy
+    spec = sy.built_in_spec(args.spec, args.n)
     grid = cf.default_t_grid(args.tmax, args.points)
     est = cf.charfn_typical(spec, grid, radial_budget=args.radial, rng=args.seed)
     header, rows = est.csv_rows()
@@ -169,6 +184,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    pin_blas_threads()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

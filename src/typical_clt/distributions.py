@@ -409,6 +409,8 @@ def mean_theta_distances(
     read and the next).  A failed task fails the call: its exception is
     raised and the tasks not yet started are cancelled.  Every task seeds
     itself from its cell's keys, so the results do not depend on `threads`.
+    Each pool thread runs as many BLAS threads as were fixed when numpy
+    loaded: set the BLAS variables before importing numpy (the CLI does).
     """
     check_threads(threads)
     check_budget(theta_budget, DIRECTION_FLOOR, "theta_budget")

@@ -392,7 +392,8 @@ def run_verify(suite: str = "all", budget_scale: float = 1.0,
     The suites' cells run on min(threads, cells) pool threads; their
     checks are reported in the fixed cell order.  A failed cell fails the
     run: its exception is raised and the cells not yet started are
-    cancelled.
+    cancelled.  Each pool thread runs as many BLAS threads as were fixed when
+    numpy loaded: set the BLAS variables before importing numpy (the CLI does).
     """
     if suite != "all" and suite not in SUITES:
         raise ConfigurationError(

@@ -3,11 +3,11 @@
 Left unpinned, the package's pool threads and OpenBLAS's own threads
 oversubscribe small machines, and the bits of matrix-path results depend
 on the BLAS thread count.  pytest imports this file before any test
-module imports numpy, so the settings take effect; a value already set
-in the environment wins.
+module imports numpy, and importing `typical_clt.cli` loads no numpy, so
+the CLI's own pin takes effect here too; a value already set in the
+environment wins.
 """
 
-import os
+from typical_clt.cli import pin_blas_threads
 
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
+pin_blas_threads()

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import typical_clt
 from typical_clt import cli
 from typical_clt import distributions as di
 from typical_clt import experiments as ex
@@ -290,6 +292,75 @@ def test_verify_leaves_scipy_out(tmp_path):
             f"'--budget-scale', '0.02', '--output', {str(tmp_path / 'v.csv')!r}]))")
     exit_code, loaded = _loaded_scipy(code)
     assert exit_code in ("0", "1") and loaded == []
+
+
+def _run_unpinned(code, **env):
+    """Run `code` in a fresh interpreter whose environment lacks the BLAS
+    thread variables (plus `env`); its last line of output."""
+    child_env = {k: v for k, v in os.environ.items()
+                 if k not in cli.BLAS_THREAD_VARIABLES}
+    child_env.update(PYTHONPATH=os.pathsep.join(sys.path), **env)
+    out = subprocess.run([sys.executable, "-c", code], env=child_env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    return out[-1]
+
+
+@pytest.mark.parametrize("module", ["typical_clt.cli", "typical_clt"])
+def test_import_leaves_numpy_out(module):
+    # OpenBLAS reads its thread count when numpy loads, so the CLI can pin
+    # it only if importing the package loads no numpy
+    assert _run_unpinned(f"import sys, {module}; print('numpy' in sys.modules)") == "False"
+
+
+def _verify_tail_blas_variables(out):
+    return ("import os, typical_clt.cli as c; "
+            f"c.main(['verify', '--suite', 'tail', '--budget-scale', '0.05', "
+            f"'--output', {str(out)!r}]); "
+            "print([os.environ.get(v) for v in c.BLAS_THREAD_VARIABLES])")
+
+
+def test_main_pins_one_blas_thread(tmp_path):
+    code = _verify_tail_blas_variables(tmp_path / "v.csv")
+    assert _run_unpinned(code) == "['1', '1', '1']"
+
+
+def test_user_blas_setting_wins(tmp_path):
+    code = _verify_tail_blas_variables(tmp_path / "v.csv")
+    assert _run_unpinned(code, OPENBLAS_NUM_THREADS="2") == "['2', '1', '1']"
+
+
+def test_verify_bytes_do_not_depend_on_blas_variables(tmp_path):
+    # the CLI pins BLAS itself, so a shell without the variables writes the
+    # bytes of one that sets them to 1
+    outputs = []
+    for name, env in (("unset", {}), ("one", dict.fromkeys(cli.BLAS_THREAD_VARIABLES, "1"))):
+        out = tmp_path / f"{name}.csv"
+        code = ("import typical_clt.cli as c; print(c.main(['verify', '--suite', "
+                f"'functionals', '--budget-scale', '0.05', '--seed', '42', "
+                f"'--output', {str(out)!r}]))")
+        assert _run_unpinned(code, **env) in ("0", "1")
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+class TestLazyPackage:
+    def test_names_resolve_to_submodule_attributes(self):
+        for name in typical_clt.__all__:
+            module = importlib.import_module(f"typical_clt.{typical_clt._MODULE_OF[name]}")
+            assert getattr(typical_clt, name) is getattr(module, name), name
+
+    def test_dir_lists_every_public_name(self):
+        assert {*typical_clt.__all__, "__version__"} <= set(dir(typical_clt))
+
+    def test_from_import(self):
+        from typical_clt import run_verify
+        assert run_verify is ex.run_verify
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            typical_clt.no_such_name
+        with pytest.raises(ImportError):
+            from typical_clt import no_such_name  # noqa: F401
 
 
 def test_benchmark_tracer_installs():
