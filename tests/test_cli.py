@@ -312,21 +312,16 @@ def test_import_leaves_numpy_out(module):
     assert _run_unpinned(f"import sys, {module}; print('numpy' in sys.modules)") == "False"
 
 
-def _verify_tail_blas_variables(out):
-    return ("import os, typical_clt.cli as c; "
+@pytest.mark.parametrize("env, pinned", [
+    ({}, "['1', '1', '1']"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "['2', '1', '1']"),   # the user's value wins
+], ids=["unset", "user-set"])
+def test_main_pins_one_blas_thread(tmp_path, env, pinned):
+    code = ("import os, typical_clt.cli as c; "
             f"c.main(['verify', '--suite', 'tail', '--budget-scale', '0.05', "
-            f"'--output', {str(out)!r}]); "
+            f"'--output', {str(tmp_path / 'v.csv')!r}]); "
             "print([os.environ.get(v) for v in c.BLAS_THREAD_VARIABLES])")
-
-
-def test_main_pins_one_blas_thread(tmp_path):
-    code = _verify_tail_blas_variables(tmp_path / "v.csv")
-    assert _run_unpinned(code) == "['1', '1', '1']"
-
-
-def test_user_blas_setting_wins(tmp_path):
-    code = _verify_tail_blas_variables(tmp_path / "v.csv")
-    assert _run_unpinned(code, OPENBLAS_NUM_THREADS="2") == "['2', '1', '1']"
+    assert _run_unpinned(code, **env) == pinned
 
 
 def test_verify_bytes_do_not_depend_on_blas_variables(tmp_path):
