@@ -47,6 +47,15 @@ def default_t_grid(t_max: float, points: int = DEFAULT_GRID_POINTS) -> np.ndarra
     return np.geomspace(GRID_T_MIN, t_max, points)
 
 
+def _check_grid(t_grid) -> np.ndarray:
+    """A cf grid as floats: finite, t >= 0 and strictly increasing, else DomainError."""
+    t = np.asarray(t_grid, dtype=float)
+    if not (np.all((t >= 0.0) & (t < math.inf)) and np.all(np.diff(t) > 0.0)):
+        raise DomainError("a cf grid must be finite, t >= 0 (negative t by conjugate "
+                          "symmetry) and strictly increasing")
+    return t
+
+
 @dataclass(frozen=True)
 class CharFnEstimate:
     """cf values on a nonnegative t grid; f(-t) is the conjugate of f(t)."""
@@ -57,11 +66,7 @@ class CharFnEstimate:
     budget: int
 
     def __post_init__(self):
-        if np.any(self.t < 0.0):
-            raise DomainError("cf grids are restricted to t >= 0 "
-                              "(negative t by conjugate symmetry)")
-        if np.any(np.diff(self.t) <= 0.0):
-            raise DomainError("cf grid must be strictly increasing")
+        _check_grid(self.t)
 
     def csv_rows(self):
         header = ["t", "re", "im", "se"]
@@ -79,13 +84,14 @@ def charfn_typical(spec: SystemSpec, t_grid, radial_budget: int = 100_000,
     The expectation runs over `distributions.radial_atoms`, compressed for
     bulk J_n evaluation; a fixed-norm system has the one atom r = 1, so
     J_n(t sqrt n) exactly with zero SE.  `jn_table` spans the largest
-    argument read, max |t| sqrt(n) times the largest atom.
+    argument read, max t sqrt(n) times the largest atom; the grid is
+    checked first, so a nan or infinite t builds no table.
     """
-    t = np.asarray(t_grid, dtype=float)
+    t = _check_grid(t_grid)
     r, w = radial_atoms(spec, radial_budget, rng)
     radii, weights = compress_atoms(np.sort(r), w, equal_mass_starts(w, CF_COMPRESS_ATOMS))
     ts = t * math.sqrt(spec.n)
-    jn = jn_table(spec.n, float(np.abs(ts).max(initial=0.0)) * float(radii.max()))
+    jn = jn_table(spec.n, float(ts.max(initial=0.0)) * float(radii.max()))
     vals = np.empty(t.shape[0], dtype=complex)
     ses = np.empty(t.shape[0])
     for block in blocks(t.shape[0], radii.size):

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DIRECTION_FLOOR, DomainError, check_budget, check_dimension,
-                     check_threads)
+                     check_count)
 from .quadrature import kernel_sum
 from .rng import make_rng, master_seed
 from .sphere_law import cdf_table, log_norm_const, sample_direction
@@ -193,10 +193,10 @@ class MixtureCDF:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.radii.shape != self.weights.shape or self.radii.ndim != 1:
             raise DomainError("radii and weights must be 1-d arrays of equal length")
-        if np.any(self.radii <= 0.0):
-            raise DomainError("radial atoms must be positive")
-        if np.any(self.weights <= 0.0):
-            raise DomainError("atom weights must be positive")
+        if not np.all((self.radii > 0.0) & (self.radii < math.inf)):
+            raise DomainError("radial atoms must be positive and finite")
+        if not np.all((self.weights > 0.0) & (self.weights < math.inf)):
+            raise DomainError("atom weights must be positive and finite")
         total = self.weights.sum()
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"atom weights must sum to 1, got {total!r}")
@@ -412,7 +412,7 @@ def mean_theta_distances(
     Each pool thread runs as many BLAS threads as were fixed when numpy
     loaded: set the BLAS variables before importing numpy (the CLI does).
     """
-    check_threads(threads)
+    check_count(threads, "threads")
     check_budget(theta_budget, DIRECTION_FLOOR, "theta_budget")
     check_budget(per_theta_budget, name="per_theta_budget")
     cells = list(cells)

@@ -46,7 +46,7 @@ def check_budget(budget: int, floor: int = BUDGET_FLOOR, name: str = "budget") -
         raise InsufficientDataError(f"{name} must be an integer >= {floor}, got {budget!r}")
 
 
-def check_threads(threads: int) -> None:
-    """A pool's thread count: an integer >= 1, else ConfigurationError."""
-    if not (isinstance(threads, numbers.Integral) and threads >= 1):
-        raise ConfigurationError(f"threads must be an integer >= 1, got {threads!r}")
+def check_count(count: int, name: str) -> None:
+    """A thread or sample count: an integer >= 1, else ConfigurationError."""
+    if not (isinstance(count, numbers.Integral) and count >= 1):
+        raise ConfigurationError(f"{name} must be an integer >= 1, got {count!r}")

@@ -29,7 +29,7 @@ from . import distributions as di
 from . import functionals as fn
 from . import reports
 from . import sphere_law as sl
-from .errors import ConfigurationError, FitUnavailableError, check_threads
+from .errors import ConfigurationError, FitUnavailableError, check_count
 from .reports import BoundCheck, BoundCheckReport, check_output, write_csv
 from .rng import make_rng, master_seed
 from .systems import SystemSpec, built_in_spec, default_catalog, squared_norms
@@ -401,7 +401,7 @@ def run_verify(suite: str = "all", budget_scale: float = 1.0,
     if not (math.isfinite(budget_scale) and budget_scale > 0.0):
         raise ConfigurationError(
             f"budget scale must be finite and positive, got {budget_scale}")
-    check_threads(threads)
+    check_count(threads, "threads")
     names = list(SUITES) if suite == "all" else [suite]
     cells = [cell for name in names for cell in SUITES[name](budget_scale, seed)]
     report = BoundCheckReport()

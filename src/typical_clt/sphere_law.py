@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,9 +55,6 @@ ENVELOPE_TOL = 1e-8
 CDF_TABLE_KNOTS = 16385
 JN_TABLE_STEP = 0.02
 JN_GRID_TOL = 1e-10
-# Largest n whose bulk J_n is the closed form: JnTable's cutoff search
-# fails for n in {2, 4, 8, 12} and below.
-JN_CLOSED_FORM_MAX_N = 12
 
 
 def normal_pdf(x):
@@ -284,9 +281,9 @@ def charfn_Jn_grid(n: int, args) -> np.ndarray:
     return vals
 
 
-def _jn_cuts(n: int) -> np.ndarray:
-    """A J_n table's candidate cutoffs 8 sqrt(n) 1.5^k, k = 0, ..., 7."""
-    return 8.0 * math.sqrt(n) * 1.5 ** np.arange(8.0)
+def _jn_cut(n: int, k: int) -> float:
+    """A J_n table's k-th candidate cutoff, 8 sqrt(n) 1.5^k."""
+    return 8.0 * math.sqrt(n) * 1.5 ** k
 
 
 class JnTable:
@@ -297,21 +294,20 @@ class JnTable:
     sphere coordinate xi, so |J_n''''| <= E xi^4 = 3/(n(n+2)), and
     `bound` is the Hermite term h^4/384 * 3/(n(n+2)) (3e-13 at n = 64)
     plus the quadrature tolerance JN_GRID_TOL, carried by the values and,
-    scaled by h/4 * cut/n, by the slopes.  Cut: the first `_jn_cuts(n)[k]`,
-    k < reach <= 8, past which the verified envelope is below 1e-12 (0
-    beyond), else `_jn_cuts(n)[reach]` (nan beyond; reach 8 must find one).
+    scaled by h/4 * cut/n, by the slopes.  Cut: the first `_jn_cut(n, k)`,
+    k < reach, past which the verified envelope is below 1e-12 (0
+    beyond), else `_jn_cut(n, reach)` (nan beyond).
     """
 
     def __init__(self, n: int, reach: int):
-        cuts, self._beyond = _jn_cuts(n), math.nan
+        self._beyond = math.nan
         for k in range(reach):
-            probe = charfn_Jn_grid(n, np.linspace(cuts[k], 3.0 * cuts[k], 64))
+            cut = _jn_cut(n, k)
+            probe = charfn_Jn_grid(n, np.linspace(cut, 3.0 * cut, 64))
             if float(np.abs(probe).max()) < 1e-12:
                 self._beyond, reach = 0.0, k
                 break
-        if reach == cuts.size:
-            raise NumericKernelError(f"J_n envelope does not decay by s={cuts[-1]} (n={n})")
-        s = np.arange(0.0, cuts[reach] + JN_TABLE_STEP, JN_TABLE_STEP)
+        s = np.arange(0.0, _jn_cut(n, reach) + JN_TABLE_STEP, JN_TABLE_STEP)
         vals = charfn_Jn_grid(n, s)
         vals[0] = 1.0
         self.n = n
@@ -325,26 +321,20 @@ class JnTable:
         return np.where(s <= self.cut, self._table(np.fmin(s, self.cut)), self._beyond)
 
 
-def _jn_hyp0f1(n: int, s) -> np.ndarray:
-    """J_n(s) = 0F1(; n/2; -s^2/4) = Gamma(n/2) (2/s)^(n/2-1) J_(n/2-1)(s)."""
-    from scipy.special import hyp0f1
+def jn_table(n: int, max_arg: float) -> JnTable:
+    """Bulk J_n on [0, max_arg], a JnTable cached per `_jn_cut` interval.
 
-    return hyp0f1(0.5 * n, -0.25 * np.square(np.asarray(s, dtype=float)))
-
-
-def jn_table(n: int, max_arg: float):
-    """Bulk J_n on [0, max_arg]: the closed form for n <= JN_CLOSED_FORM_MAX_N, else a JnTable.
-
-    For small n the envelope decays like s^(-(n-1)/2) and never reaches
-    the table's 1e-12 cutoff; there the closed form is within 6e-15 of
-    the Bessel form on s in [0, 2000], and it is the one path that loads
-    scipy.  scipy's hyp0f1 overflows to nan for large n and large s
-    (n = 512), so larger n keep the table, cached per `_jn_cuts` interval.
+    For small n the envelope decays like s^(-(n-1)/2), below 1e-12 only
+    from s = 710 at n = 12 and later below, so the table runs to the
+    first cutoff at or past max_arg and its build grows as max_arg^2.
     """
     n = check_dimension(n)
-    if n <= JN_CLOSED_FORM_MAX_N:
-        return partial(_jn_hyp0f1, n)
-    return _jn_table(n, int(np.searchsorted(_jn_cuts(n), max_arg)))
+    if not math.isfinite(max_arg):
+        raise DomainError(f"J_n table needs a finite largest argument, got {max_arg!r}")
+    reach = 0
+    while _jn_cut(n, reach) < max_arg:
+        reach += 1
+    return _jn_table(n, reach)
 
 
 _jn_table = lru_cache(maxsize=32)(JnTable)

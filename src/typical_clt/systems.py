@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericKernelError
+from .errors import ConfigurationError, DomainError, NumericKernelError, check_count
 from .quadrature import blocks
 from .rng import as_rng
 from .sphere_law import Direction
@@ -178,14 +178,9 @@ def _walsh_rows(n: int, bits: np.ndarray) -> np.ndarray:
     return _walsh_table(n)[bits @ (1 << np.arange(bits.shape[1]))]
 
 
-def _check_count(count: int) -> None:
-    if count < 1:
-        raise ConfigurationError(f"sample count must be positive, got {count}")
-
-
 def sample_vector(spec: SystemSpec, count: int, rng) -> SampleBatch:
     """Draw `count` i.i.d. rows from the law of X."""
-    _check_count(count)
+    check_count(count, "sample count")
     return SampleBatch(matrix=_sample_rows(spec, count, as_rng(rng)), spec=spec)
 
 
@@ -195,7 +190,7 @@ def _draw(draw, count: int, rng, width: int) -> np.ndarray:
     The blocks of `width` entries per row (those of draw's largest
     temporary) all come from as_rng(rng): the rows of one draw of `count`.
     """
-    _check_count(count)
+    check_count(count, "sample count")
     gen = as_rng(rng)
     out = np.empty(count)
     for block in blocks(count, width):

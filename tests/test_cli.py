@@ -268,8 +268,7 @@ def test_import_leaves_scipy_out():
 
 def test_sweep_leaves_scipy_out(tmp_path):
     # the F target's kernel is the numpy closed form and its Hermite table;
-    # only the phi and G targets' Gaussian kernel and charfn's J_n for
-    # n <= 12 load scipy
+    # only the phi and G targets' Gaussian kernel loads scipy
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[system]\nname = uniform\n[sweep]\nn_list = 8, 16, 32\n"
                    f"target = F\noutput = {tmp_path / 'sweep.csv'}\n"
@@ -278,16 +277,16 @@ def test_sweep_leaves_scipy_out(tmp_path):
     assert _loaded_scipy(code) == ("0", [])
 
 
-def test_charfn_leaves_scipy_out(tmp_path):
-    # J_n beyond n = 12 is a Hermite table in numpy; only hyp0f1 for
-    # n <= 12 loads scipy
-    code = (f"print(typical_clt.cli.main(['charfn', '--spec', 'uniform', '--n', '64', "
+@pytest.mark.parametrize("n", [8, 64])
+def test_charfn_leaves_scipy_out(tmp_path, n):
+    # J_n is a Hermite table in numpy for every n
+    code = (f"print(typical_clt.cli.main(['charfn', '--spec', 'uniform', '--n', '{n}', "
             f"'--tmax', '3', '--radial', '2000', '--output', {str(tmp_path / 'c.csv')!r}]))")
     assert _loaded_scipy(code) == ("0", [])
 
 
 def test_verify_leaves_scipy_out(tmp_path):
-    # no verify suite reaches ndtr or hyp0f1
+    # no verify suite reaches the Gaussian kernel's ndtr
     code = (f"print(typical_clt.cli.main(['verify', '--suite', 'all', "
             f"'--budget-scale', '0.02', '--output', {str(tmp_path / 'v.csv')!r}]))")
     exit_code, loaded = _loaded_scipy(code)

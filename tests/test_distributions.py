@@ -87,6 +87,14 @@ class TestMixtureCDF:
             di.MixtureCDF(radii=np.array([-1.0]), weights=np.array([1.0]),
                           kernel="gaussian")
 
+    @pytest.mark.parametrize("radii, weights", [([np.nan], [1.0]), ([np.inf], [1.0]),
+                                                ([1.0], [np.nan])],
+                             ids=["radius-nan", "radius-inf", "weight-nan"])
+    def test_non_finite_atom_rejected(self, radii, weights):
+        # each was a nan CDF, or 0.5 at every x for an infinite radius
+        with pytest.raises(DomainError):
+            di.MixtureCDF(radii=radii, weights=weights, kernel="gaussian")
+
     def test_single_atom_is_normal(self):
         mix = di.standard_normal_cdf()
         for x in (-2.0, -0.3, 0.0, 1.7):

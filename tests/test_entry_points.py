@@ -2,10 +2,11 @@
 
 Each rule on arguments is written once: the dimension (`errors.
 check_dimension`), the Monte Carlo budget floors (`errors.check_budget`),
-the thread count (`errors.check_threads`), the direction size of
-`systems`, and the finite inputs of `Direction` and `StepCDF`.  Each table below lists the entry points of one rule, and each
-case feeds one of them one bad input; an entry point that skips its rule
-fails here.
+the thread count (`errors.check_count`), the direction size of
+`systems`, and the finite inputs of `Direction`, `StepCDF` and the cf
+grid of `charfn_typical`.  Each table below lists the entry points of
+one rule, and each case feeds one of them one bad input; an entry point
+that skips its rule fails here.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from typical_clt import systems as sy
 from typical_clt.errors import ConfigurationError, DomainError, InsufficientDataError
 
 UNIFORM8 = sy.SystemSpec(kind="uniform", n=8)
+RADEMACHER64 = sy.SystemSpec(kind="rademacher", n=64)
 THETA4 = sl.sample_direction(4, 0)
 T = np.array([0.5, 1.0])
 
@@ -92,6 +94,10 @@ DIRECTION_SIZE = {
 FINITE = {
     "Direction": lambda v: sl.Direction(coords=np.array(v)),
     "StepCDF.from_samples": di.StepCDF.from_samples,
+    "charfn_typical": lambda v: cf.charfn_typical(UNIFORM8, v, radial_budget=100),
+    # a fixed-norm n >= 13 system reads its J_n table once, with 0 past
+    # the table's cutoff, where a nan or infinite t would land
+    "charfn_typical-n64": lambda v: cf.charfn_typical(RADEMACHER64, v),
 }
 
 CASES = [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import betainc, j0, ndtr
+from scipy.special import betainc, hyp0f1, j0, ndtr
 
 from typical_clt import sphere_law as sl
 from typical_clt.errors import DomainError
@@ -227,9 +227,10 @@ class TestCharfnJn:
     def test_table_matches_direct(self):
         # at every interval midpoint, within the table's bound (its Hermite
         # and quadrature terms) plus the reference quadrature's tolerance;
-        # asked for every argument, each table runs to its envelope cutoff
+        # asked for s = 1000, past every envelope cutoff here (493 at
+        # n = 13), each table runs to its envelope cutoff
         for n in (13, 16, 48, 64, 256):
-            table = sl.jn_table(n, math.inf)
+            table = sl.jn_table(n, 1000.0)
             knots = np.arange(0.0, table.cut + sl.JN_TABLE_STEP, sl.JN_TABLE_STEP)
             mid = 0.5 * (knots[1:] + knots[:-1])
             err = np.abs(table(mid) - sl.charfn_Jn_grid(n, mid)).max()
@@ -249,12 +250,28 @@ class TestCharfnJn:
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_bulk_evaluator_small_n(self, n):
-        # the table's cutoff search fails for n in {2, 4, 8, 12}; those n
-        # take the closed form 0F1(; n/2; -s^2/4)
+        # every n is a table; up to s = 60 no envelope of n <= 12 falls
+        # below 1e-12, so those tables run to the first cutoff past 60
         s = np.linspace(0.0, 60.0, 301)
         bulk = sl.jn_table(n, 60.0)(s)
         assert bulk[0] == 1.0
         assert np.abs(bulk - sl.charfn_Jn_grid(n, s)).max() < 1e-9
+
+    @pytest.mark.parametrize("n, s_max", [*((n, 60.0) for n in range(2, 13)), (2, 200.0)])
+    def test_small_n_table_matches_closed_form(self, n, s_max):
+        # J_n(s) = 0F1(; n/2; -s^2/4), scipy's hyp0f1 as an oracle, at every
+        # knot and interval midpoint up to s_max, within the table's bound
+        table = sl.jn_table(n, s_max)
+        assert math.isnan(table(table.cut + 1.0))
+        s = np.arange(0.0, s_max, 0.5 * sl.JN_TABLE_STEP)
+        err = np.abs(table(s) - hyp0f1(0.5 * n, -0.25 * np.square(s))).max()
+        assert err <= table.bound, (n, err, table.bound)
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("max_arg", [math.nan, math.inf])
+    def test_non_finite_argument_rejected(self, n, max_arg):
+        with pytest.raises(DomainError):
+            sl.jn_table(n, max_arg)
 
 
 @pytest.fixture(scope="module")

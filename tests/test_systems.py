@@ -156,6 +156,17 @@ class TestSampling:
         with pytest.raises(ConfigurationError):
             sy.sample_vector(spec_iid("normal"), 0, 1)
 
+    @pytest.mark.parametrize("draw", [
+        lambda c: sy.sample_vector(spec_iid("normal"), c, 1),
+        lambda c: sy.project(sy.SystemSpec(kind="trigonometric", n=8),
+                             sample_direction(8, 0), c, 1),
+        lambda c: sy.squared_norms(spec_iid("normal"), c, 1),
+    ], ids=["sample_vector", "project", "squared_norms"])
+    def test_non_integer_count_rejected(self, draw):
+        # a count of 2.5 was numpy's TypeError
+        with pytest.raises(ConfigurationError):
+            draw(2.5)
+
 
 class TestSquaredNorms:
     @pytest.mark.parametrize("spec", sy.default_catalog(64), ids=lambda s: s.spec_id)
