@@ -30,10 +30,16 @@ with C_K = sup_z |2 z k(z) + z^2 k'(z)| = sup_z |(z^2 k)'(z)| for the
 kernel density k; the linear interpolation of the table adds
 (dx)^2/8 sup|k'| / min r^2.  The sphere kernel of n < 5 has an
 unbounded k', so its tables keep the ceiling count of cells and an
-infinite bound.  The sphere kernel is evaluated through a cubic Hermite
-table of the closed-form CDF (`sphere_law.SphereCdfTable`), within its
-own bound of it (2.3e-12 at n = 4096); the certified bound adds that
-term, so it holds against the direct sum with the closed-form kernel.
+infinite bound.  Each kernel is evaluated through a cubic Hermite table:
+the normal CDF's (`sphere_law.NormalCdfTable`, within 8e-17 of it) and
+the closed-form sphere CDF's (`sphere_law.SphereCdfTable`, within
+2.3e-12 at n = 4096).  The certified bound adds the kernel table's own
+bound, so it holds against the direct sum with the exact kernel.
+
+Both kernels are symmetric, so every scale mixture M of them has
+M(-x) = 1 - M(x).  A lookup table sums the atoms only on the lower half
+of its grid, linspace(-span, span, LUT_POINTS), and fills the upper half
+as 1 - M at the mirrored points.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from .errors import (DIRECTION_FLOOR, DomainError, check_budget, check_dimension
                      check_count)
 from .quadrature import kernel_sum
 from .rng import make_rng, master_seed
-from .sphere_law import cdf_table, log_norm_const, sample_direction
+from .sphere_law import cdf_table, log_norm_const, normal_cdf_table, sample_direction
 from .systems import SystemSpec, project, squared_norms
 
 # E sup_x |F_N(x) - F(x)| ~ sqrt(pi/2) ln(2) / sqrt(N) for an N-sample
@@ -208,12 +214,9 @@ class MixtureCDF:
 
     # -- kernel primitives --------------------------------------------------
 
-    def _kernel_cdf(self, z):
-        if self.kernel == "gaussian":
-            from scipy.special import ndtr
-
-            return ndtr(z)
-        return cdf_table(self.n)(z)
+    def _kernel_table(self):
+        """The kernel CDF's Hermite table, which carries its own `bound`."""
+        return normal_cdf_table() if self.kernel == "gaussian" else cdf_table(self.n)
 
     @property
     def max_radius(self) -> float:
@@ -229,7 +232,8 @@ class MixtureCDF:
     # -- evaluation ---------------------------------------------------------
 
     def _direct(self, x: np.ndarray, radii: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return kernel_sum(lambda xs, r: self._kernel_cdf(xs / r), x, radii, weights)
+        table = self._kernel_table()
+        return kernel_sum(lambda xs, r: table(xs / r), x, radii, weights)
 
     def _certified_count(self, r: np.ndarray, w: np.ndarray) -> tuple[int, float]:
         """A cell count whose table bound is <= TABLE_TOL, and that bound.
@@ -245,10 +249,8 @@ class MixtureCDF:
         if math.isinf(c_k):
             return cap, math.inf
         step = 2.0 * self.span / (LUT_POINTS - 1)
-        # the linear table's interpolation term, and the sphere kernel table's
-        interp = step * step / 8.0 * dk / r[0] ** 2
-        if self.kernel == "sphere":
-            interp += cdf_table(self.n).bound
+        # the linear table's interpolation term, and the kernel table's
+        interp = step * step / 8.0 * dk / r[0] ** 2 + self._kernel_table().bound
 
         def bound(count: int) -> float:
             return _compression_bound(r, w, _equal_width_starts(r, count), c_k) + interp
@@ -273,7 +275,8 @@ class MixtureCDF:
             w = w / w.sum()
             span = self.span
             grid = np.linspace(-span, span, LUT_POINTS)
-            self._lut = (grid, self._direct(grid, r, w))
+            low = self._direct(grid[:LUT_POINTS // 2], r, w)
+            self._lut = (grid, np.concatenate((low, 1.0 - low[::-1])))
         return self._lut
 
     def tabulates(self, points: int) -> bool:

@@ -21,10 +21,13 @@ where W_k(u) / W_k(pi/2) is the regularized incomplete beta function
 I_(x^2/n)(1/2, (n-1)/2) of the Beta(1/2, (n-1)/2) law of Z^2/n.  W_k
 follows the reduction formula W_k = cos^(k-1) sin / k + (k-1)/k W_(k-2)
 from W_0 = u and W_1 = sin u, evaluated in numpy from the angle u
-(`_beta_half_mass`), so no command that reads this CDF imports scipy.
+(`_beta_half_mass`).
 The cosine transform J_n is integrated after the substitution
 x = sin(u), which removes the endpoint singularity at |x| = 1 for small
-n and keeps the integrand smooth for every n >= 2.
+n and keeps the integrand smooth for every n >= 2.  Its n -> infinity
+limit, the standard normal CDF, is a table on the same cubic Hermite
+interpolant (`NormalCdfTable`), so the package needs no special-function
+library.
 """
 
 from __future__ import annotations
@@ -51,10 +54,13 @@ DEFAULT_N_GRID = (4, 8, 16, 64, 256, 1024)
 GAP_RATE_FACTOR = 4.0
 ENVELOPE_TOL = 1e-8
 # Cubic Hermite tables: SphereCdfTable's knot count in the angle u on
-# [0, pi/2], JnTable's knot step in s; charfn_Jn_grid's quadrature tolerance
+# [0, pi/2], JnTable's knot step in s; charfn_Jn_grid's quadrature tolerance;
+# NormalCdfTable's knot step and its last knot, 18433 knots
 CDF_TABLE_KNOTS = 16385
 JN_TABLE_STEP = 0.02
 JN_GRID_TOL = 1e-10
+PHI_TABLE_STEP = 2.0 ** -11
+PHI_TABLE_CLAMP = 9.0
 
 
 def normal_pdf(x):
@@ -108,10 +114,11 @@ def _beta_half_mass(n: int, u):
                        + sum_(j = 2 or 3, step 2, to k) cos^(j-1) u sin u / (j N_j),
 
     a sum of non-negative terms that is 1 at u = pi/2.  Within 3e-15 of
-    scipy's betainc up to n = 4096.  The power cos^(j-1) u is stepped as
-    p - p sin^2 u, not p cos^2 u: a float cos^2 u near 1 carries a
-    relative error of ~1e-16 that the power raises n-fold.  The mass is
-    capped at 1/2 against rounding; a nan angle gives nan.
+    the regularized incomplete beta function up to n = 4096.  The power
+    cos^(j-1) u is stepped as p - p sin^2 u, not p cos^2 u: a float
+    cos^2 u near 1 carries a relative error of ~1e-16 that the power
+    raises n-fold.  The mass is capped at 1/2 against rounding; a nan
+    angle gives nan.
     """
     u = np.asarray(u, dtype=float)
     sin_u, cos_u = np.sin(u), np.cos(u)
@@ -208,6 +215,35 @@ class SphereCdfTable:
 @lru_cache(maxsize=64)
 def cdf_table(n: int) -> SphereCdfTable:
     return SphereCdfTable(n)
+
+
+class NormalCdfTable:
+    """The standard normal CDF as a cubic Hermite table of its half mass.
+
+    Phi(x) = 1/2 + sign(x) half(min(|x|, PHI_TABLE_CLAMP)), with
+    half(x) = erf(x / sqrt 2) / 2 tabulated every PHI_TABLE_STEP on
+    [0, PHI_TABLE_CLAMP] and its slope the normal density.  |half''''|
+    = |He_3 phi| peaks at x^2 = 3 - sqrt 6, so `bound` is 8e-17.  At the
+    clamp half is 1/2 in floating point (Phi(-9) = 1.1e-19), so beyond
+    it, and at +-inf, the table gives exactly 0 or 1; nan gives nan.
+    """
+
+    def __init__(self):
+        x = np.arange(0.0, PHI_TABLE_CLAMP + PHI_TABLE_STEP, PHI_TABLE_STEP)
+        half = 0.5 * np.array([math.erf(v) for v in x / math.sqrt(2.0)])
+        z = math.sqrt(3.0 - math.sqrt(6.0))
+        self._half = HermiteTable(half, normal_pdf(x), PHI_TABLE_STEP,
+                                  abs(z ** 3 - 3.0 * z) * float(normal_pdf(z)))
+        self.bound = self._half.bound
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return 0.5 + np.copysign(self._half(np.minimum(np.abs(x), PHI_TABLE_CLAMP)), x)
+
+
+@lru_cache(maxsize=1)
+def normal_cdf_table() -> NormalCdfTable:
+    return NormalCdfTable()
 
 
 def sample_direction(n: int, rng) -> Direction:

@@ -261,19 +261,30 @@ def _loaded_scipy(code):
 
 
 def test_import_leaves_scipy_out():
-    # the sphere CDF is a numpy closed form and every scipy function is
-    # imported where it is called, so startup loads no scipy module
+    # no module of the package imports scipy, so startup loads none
     assert _loaded_scipy("pass") == (None, [])
 
 
-def test_sweep_leaves_scipy_out(tmp_path):
-    # the F target's kernel is the numpy closed form and its Hermite table;
-    # only the phi and G targets' Gaussian kernel loads scipy
+@pytest.mark.parametrize("target", ["F", "phi", "G"])
+def test_sweep_leaves_scipy_out(tmp_path, target):
+    # both kernels are Hermite tables in numpy: the sphere CDF's for F, the
+    # normal CDF's for phi and G; 5000 x 5000 points and atoms read G's and
+    # F's lookup tables
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[system]\nname = uniform\n[sweep]\nn_list = 8, 16, 32\n"
-                   f"target = F\noutput = {tmp_path / 'sweep.csv'}\n"
+                   f"target = {target}\noutput = {tmp_path / 'sweep.csv'}\n"
                    f"[budgets]\ntheta = 2\nper_theta = 5000\nradial = 5000\n")
     code = f"print(typical_clt.cli.main(['sweep', '--config', {str(cfg)!r}]))"
+    assert _loaded_scipy(code) == ("0", [])
+
+
+@pytest.mark.parametrize("target", ["phi", "G"])
+def test_distance_leaves_scipy_out(tmp_path, target):
+    # the normal CDF's Hermite table, directly for phi and through G's
+    # lookup table
+    code = (f"print(typical_clt.cli.main(['distance', '--spec', 'normal', '--n', '8', "
+            f"'--target', '{target}', '--theta-budget', '2', '--per-theta', '5000', "
+            f"'--radial', '5000', '--output', {str(tmp_path / 'd.csv')!r}]))")
     assert _loaded_scipy(code) == ("0", [])
 
 
@@ -286,7 +297,7 @@ def test_charfn_leaves_scipy_out(tmp_path, n):
 
 
 def test_verify_leaves_scipy_out(tmp_path):
-    # no verify suite reaches the Gaussian kernel's ndtr
+    # no verify suite reaches a mixture or the normal CDF
     code = (f"print(typical_clt.cli.main(['verify', '--suite', 'all', "
             f"'--budget-scale', '0.02', '--output', {str(tmp_path / 'v.csv')!r}]))")
     exit_code, loaded = _loaded_scipy(code)

@@ -13,6 +13,7 @@ from typical_clt import quadrature
 from typical_clt import systems as sy
 from typical_clt.errors import ConfigurationError, DomainError, InsufficientDataError
 from typical_clt.quadrature import kernel_sum
+from typical_clt.sphere_law import normal_cdf_table
 
 
 def spec_iid(base, n=16):
@@ -175,7 +176,17 @@ class TestTableBound:
         step = 2.0 * mix.span / (di.LUT_POINTS - 1)
         interp = step * step / 8.0 * di._kernel_constants("gaussian", None)[1] / 1.3 ** 2
         assert mix.table_atoms == 1
-        assert mix.table_bound == interp
+        assert mix.table_bound == interp + normal_cdf_table().bound
+
+    @pytest.mark.parametrize("kernel, n", [("gaussian", None), ("sphere", 16)])
+    def test_table_halves_sum_to_one(self, kernel, n):
+        # the upper half of the table is 1 minus the lower half, mirrored
+        rng = np.random.default_rng(2)
+        mix = di.MixtureCDF(radii=np.sqrt(rng.chisquare(16, 5000) / 16),
+                            weights=np.full(5000, 1.0 / 5000), kernel=kernel, n=n)
+        grid, lut = mix._ensure_lut()
+        assert np.abs(lut + lut[::-1] - 1.0).max() <= 2.2e-16
+        assert np.abs(grid + grid[::-1]).max() <= 4 * np.finfo(float).eps * mix.span
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_unbounded_kernel_derivative_keeps_ceiling(self, n):

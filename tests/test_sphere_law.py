@@ -155,6 +155,30 @@ class TestCdf:
         assert math.isnan(sl.cdf(n, math.nan))
 
 
+class TestNormalCdfTable:
+    def test_within_bound_of_ndtr(self):
+        # at every interval midpoint of [0, 9], on both sides, within the
+        # table's Hermite bound plus one rounding of a value near 1
+        table = sl.normal_cdf_table()
+        mid = (np.arange(round(sl.PHI_TABLE_CLAMP / sl.PHI_TABLE_STEP)) + 0.5) * sl.PHI_TABLE_STEP
+        xs = np.concatenate([mid, -mid])
+        assert np.abs(table(xs) - ndtr(xs)).max() <= table.bound + 2.2e-16
+
+    def test_exact_ends_and_nan(self):
+        # Phi(-9.5) = 1e-21 is below a rounding of 1, so past the last knot
+        # the table gives exactly 0 or 1, never nan; nan stays nan, as in ndtr
+        far = np.array([9.5, 40.0, 1e300, np.inf])
+        table = sl.normal_cdf_table()
+        assert np.array_equal(table(far), np.ones(4))
+        assert np.array_equal(table(-far), np.zeros(4))
+        assert math.isnan(float(table(math.nan)))
+
+    def test_symmetric(self):
+        table = sl.normal_cdf_table()
+        xs = np.linspace(-12.0, 12.0, 100_001)
+        assert np.abs(table(-xs) + table(xs) - 1.0).max() <= 2.2e-16
+
+
 class TestSampleDirection:
     def test_unit_norm(self):
         for seed in range(5):
