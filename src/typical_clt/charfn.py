@@ -30,8 +30,7 @@ from .reports import BoundCheck, BoundCheckReport
 from .rng import make_rng, master_seed
 from .sphere_law import jn_table, sample_direction
 from .systems import SystemSpec, direction_cf
-from .distributions import (compress_atoms, equal_mass_starts, mean_theta_distance,
-                            radial_atoms)
+from .distributions import mean_theta_distance, radial_atoms
 
 DEFAULT_GRID_POINTS = 512
 GRID_T_MIN = 1e-3
@@ -75,6 +74,31 @@ class CharFnEstimate:
             for t, v, s in zip(self.t, self.values, self.se)
         ]
         return header, rows
+
+
+def equal_mass_starts(weights: np.ndarray, max_atoms: int) -> np.ndarray:
+    """First index of each equal-weight bin of atoms in radius order."""
+    if weights.size <= max_atoms:
+        return np.arange(weights.size)
+    cum = np.cumsum(weights)
+    edges = np.searchsorted(cum, np.linspace(0.0, cum[-1], max_atoms + 1)[1:-1],
+                            side="left")
+    cuts = np.unique(edges + 1)
+    return np.concatenate(([0], cuts[cuts < weights.size]))
+
+
+def compress_atoms(r: np.ndarray, w: np.ndarray, starts: np.ndarray):
+    """Merge each bin of the atoms (r ascending, weights w) into one atom.
+
+    Bin b holds the atoms from starts[b] up to the next start; its atom
+    is the bin's weighted mean radius with the bin's total weight.  When
+    every atom is its own bin, the atoms come back as they are.  The
+    typical cf reads these atoms for its bulk J_n evaluation.
+    """
+    if starts.size == r.size:
+        return r, w
+    mass = np.add.reduceat(w, starts)
+    return np.add.reduceat(w * r, starts) / mass, mass
 
 
 def charfn_typical(spec: SystemSpec, t_grid, radial_budget: int = 100_000,

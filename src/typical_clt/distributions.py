@@ -12,34 +12,47 @@ the one pair every command compares.  It is exact: the sup is attained
 at a jump of the step CDF, where both of its one-sided limits are
 checked.
 
-Mixtures with many atoms are evaluated through a compression of the
-atoms into equal-width radius cells plus a dense lookup table; small
-mixtures are evaluated exactly, which is what the distance-oracle checks
-exercise.  The table keeps a cell count, up to a ceiling of
-COMPRESS_ATOMS, whose certified bound (`MixtureCDF.table_bound`) on its
-distance from the direct sum over all atoms is at most TABLE_TOL, and
-one atom per non-empty cell.  Equal widths, not equal masses, because
-the bound below is set by the sparse tails, where equal-mass bins are
-wide.  Each compressed atom is the weighted mean radius of its bin, so
-the first-order Taylor term in r cancels and
+Mixtures with many atoms are read from a lookup table; small mixtures
+are evaluated exactly, which is what the distance-oracle checks
+exercise.  A scale mixture is a convolution in log scale (a Mellin
+convolution): for x > 0, with s = log x,
 
-    sup_x |sum_i w_i K(x/r_i) - sum_b W_b K(x/rbar_b)|
-        <= C_K / 2 * sum_b sum_(i in b) w_i (r_i - rbar_b)^2 / min_(i in b) r_i^2,
+    M(x) - 1/2 = sum_i w_i g(s - log r_i),    g(s) = K(e^s) - 1/2.
 
-with C_K = sup_z |2 z k(z) + z^2 k'(z)| = sup_z |(z^2 k)'(z)| for the
-kernel density k; the linear interpolation of the table adds
-(dx)^2/8 sup|k'| / min r^2.  The sphere kernel of n < 5 has an
-unbounded k', so its tables keep the ceiling count of cells and an
-infinite bound.  Each kernel is evaluated through a cubic Hermite table:
-the normal CDF's (`sphere_law.NormalCdfTable`, within 8e-17 of it) and
-the closed-form sphere CDF's (`sphere_law.SphereCdfTable`, within
-2.3e-12 at n = 4096).  The certified bound adds the kernel table's own
-bound, so it holds against the direct sum with the exact kernel.
+The table is built in one pass (`MixtureCDF._build_lut`): each atom's
+weight is split linearly between the two nearest nodes of a log-radius
+grid of step TABLE_LOG_STEP (cloud-in-cell deposition; Hockney and
+Eastwood, Computer Simulation Using Particles, 1981), g is sampled from
+the kernel's table on the same step, and one real FFT convolves the
+two.  That gives M - 1/2 at the geometric nodes x_i = e^(i step), from
+r_min e^-TABLE_LOG_REACH or below up to span or above, where every
+kernel is 1.  Both kernels are symmetric, so M(-x) = 1 - M(x): the
+table holds the nodes -x, 0 and x, and `cdf` reads it by linear
+interpolation in x, which pays no log per lookup.  Its distance from
+the mixture with the exact kernel is at most `MixtureCDF.table_bound`,
+the sum of five terms, none of which depends on r_min:
 
-Both kernels are symmetric, so every scale mixture M of them has
-M(-x) = 1 - M(x).  A lookup table sums the atoms only on the lower half
-of its grid, linspace(-span, span, LUT_POINTS), and fills the upper half
-as 1 - M at the mirrored points.
+    deposition         step^2/8 sup|g''|,    g''(s) = z k(z) + z^2 k'(z), z = e^s;
+    interpolation      (e^step - 1)^2/8 sup|z^2 k'(z)|   on the geometric nodes;
+    first interval     e^(-2 REACH)/8 sup|k'|            on [0, x_0];
+    the kernel table's own `bound`;
+    FFT rounding       24 u log2(N) |g|_2,   u the unit roundoff, N the FFT size
+
+for the kernel density k (`_kernel_constants`).  The deposition keeps
+each atom's zeroth and first moments in log radius, so its error is
+that of linear interpolation of g.  The FFT term is Higham's bound for
+the radix-2 FFT (Accuracy and Stability of Numerical Algorithms, 2nd
+ed., 2002, ch. 24) carried through the two forward transforms, the
+product and the inverse, with sum w_i = 1: about 1e-12, against a
+rounding of 2e-16 to 3e-16 measured on 100k-atom catalog tables.  At
+step 2^-10 the first two terms are 3.9e-8 and 5.5e-8 for the Gaussian
+kernel and 1.8e-7 each for the sphere kernel of n = 5, its worst.  The
+sphere kernel of n < 5 has an unbounded k', so its tables have an
+infinite bound.  Each kernel is evaluated through a cubic Hermite
+table: the normal CDF's (`sphere_law.NormalCdfTable`, within 8e-17 of
+it and exactly 1 from PHI_TABLE_CLAMP on) and the closed-form sphere
+CDF's (`sphere_law.SphereCdfTable`, within 2.3e-12 at n = 4096, and 1
+up to rounding from sqrt(n) on).
 """
 
 from __future__ import annotations
@@ -54,7 +67,8 @@ from .errors import (DIRECTION_FLOOR, DomainError, check_budget, check_dimension
                      check_count)
 from .quadrature import kernel_sum
 from .rng import make_rng, master_seed
-from .sphere_law import cdf_table, log_norm_const, normal_cdf_table, sample_direction
+from .sphere_law import (PHI_TABLE_CLAMP, cdf_table, log_norm_const, normal_cdf_table,
+                         sample_direction)
 from .systems import SystemSpec, project, squared_norms
 
 # E sup_x |F_N(x) - F(x)| ~ sqrt(pi/2) ln(2) / sqrt(N) for an N-sample
@@ -62,10 +76,10 @@ from .systems import SystemSpec, project, squared_norms
 NOISE_FLOOR_COEF = math.sqrt(math.pi / 2.0) * math.log(2.0)
 
 EXACT_PRODUCT_LIMIT = 20_000_000
-COMPRESS_ATOMS = 2048  # ceiling of a lookup table's atom count
-TABLE_TOL = 1e-6       # certified sup distance of a table from its mixture
-LUT_POINTS = 32768
-GAUSSIAN_SPAN_FACTOR = 12.0
+# A lookup table's step in log radius, and how far (in log x) its first
+# node lies below the smallest radius
+TABLE_LOG_STEP = 2.0 ** -10
+TABLE_LOG_REACH = 10.0
 
 
 def noise_floor(per_theta_budget: int) -> float:
@@ -104,81 +118,37 @@ class StepCDF:
 # Mixture CDF
 # ---------------------------------------------------------------------------
 
-def equal_mass_starts(weights: np.ndarray, max_atoms: int) -> np.ndarray:
-    """First index of each equal-weight bin of atoms in radius order."""
-    if weights.size <= max_atoms:
-        return np.arange(weights.size)
-    cum = np.cumsum(weights)
-    edges = np.searchsorted(cum, np.linspace(0.0, cum[-1], max_atoms + 1)[1:-1],
-                            side="left")
-    cuts = np.unique(edges + 1)
-    return np.concatenate(([0], cuts[cuts < weights.size]))
+def _kernel_constants(kernel: str, n: int | None) -> tuple[float, float, float]:
+    """(sup|g''|, sup|z^2 k'(z)|, sup|k'|) of a kernel with density k.
 
-
-def _equal_width_starts(r: np.ndarray, cells: int) -> np.ndarray:
-    """First index of each non-empty one of `cells` equal-width cells of sorted r.
-
-    With at least as many cells as atoms, every atom is its own bin.
-    """
-    if cells >= r.size:
-        return np.arange(r.size)
-    edges = np.linspace(r[0], r[-1], cells + 1)[1:-1]
-    return np.unique(np.concatenate(([0], np.searchsorted(r, edges, side="left"))))
-
-
-def compress_atoms(r: np.ndarray, w: np.ndarray, starts: np.ndarray):
-    """Merge each bin of the atoms (r ascending, weights w) into one atom.
-
-    Bin b holds the atoms from starts[b] up to the next start; its atom
-    is the bin's weighted mean radius with the bin's total weight.  When
-    every atom is its own bin, the atoms come back as they are.  Lookup
-    tables, their certified bound and the typical cf all read this atom.
-    """
-    if starts.size == r.size:
-        return r, w
-    mass = np.add.reduceat(w, starts)
-    return np.add.reduceat(w * r, starts) / mass, mass
-
-
-def _kernel_constants(kernel: str, n: int | None) -> tuple[float, float]:
-    """(C_K, sup|k'|) of a kernel with density k, C_K = sup_z |(z^2 k)'(z)|.
-
-    r^2 |d^2/dr^2 K(x/r)| <= C_K bounds the compression error and
-    sup|k'| the interpolation error of a mixture's table.  For the sphere
-    kernel, (z^2 k)'(z) = c sqrt(n) g(u) with u = z^2/n and
-    g(u) = sqrt(u) (1-u)^((n-5)/2) (2 - (n-1) u), whose interior critical
-    points solve m(m-1) u^2 - (5m-6) u + 2 = 0, m = n - 1; at n = 5 the
-    sup is the edge value |g(1)|.  For n < 5, k' is unbounded.
+    g''(s) = z k(z) + z^2 k'(z) at z = e^s is the second derivative of
+    g(s) = K(e^s) - 1/2; the three bound a mixture table's deposition,
+    interpolation and first-interval terms.  For the Gaussian kernel
+    k' = -z k, so g'' = z (1 - z^2) k, extremal at z^2 = 2 -+ sqrt 3.  For
+    the sphere kernel, g'' = c sqrt(n) h(u) with u = z^2/n and
+    h(u) = sqrt(u) (1-u)^((n-5)/2) (1 - m u), m = n - 2, whose interior
+    critical points solve m^2 u^2 - (4m-2) u + 1 = 0; at n = 5 the sup is
+    the edge value |h(1)|.  For n < 5, k' is unbounded.
     """
     if kernel == "gaussian":
-        z2 = 0.5 * (5.0 - math.sqrt(17.0))
         pdf = 1.0 / math.sqrt(2.0 * math.pi)
-        return (pdf * math.sqrt(z2) * (2.0 - z2) * math.exp(-0.5 * z2),
-                pdf * math.exp(-0.5))
+        g2 = max(math.sqrt(z2) * abs(1.0 - z2) * math.exp(-0.5 * z2)
+                 for z2 in (2.0 - math.sqrt(3.0), 2.0 + math.sqrt(3.0)))
+        # z^3 k(z) peaks at z^2 = 3, |k'| = z k(z) at z = 1
+        return pdf * g2, pdf * 3.0 ** 1.5 * math.exp(-1.5), pdf * math.exp(-0.5)
     if n < 5:
-        return math.inf, math.inf
+        return math.inf, math.inf, math.inf
     c = math.exp(log_norm_const(n))
-    a, m = 0.5 * (n - 5), n - 1
-    root = math.sqrt((5 * m - 6) ** 2 - 8 * m * (m - 1))
-    crit = [(5 * m - 6 + s * root) / (2 * m * (m - 1)) for s in (-1.0, 1.0)] + [1.0]
-    g = max(abs(math.sqrt(u) * (1.0 - u) ** a * (2.0 - m * u)) for u in crit if u <= 1.0)
+    a, m = 0.5 * (n - 5), n - 2
+    root = math.sqrt((3 * m - 1) * (m - 1))
+    crit = [(2 * m - 1 + s * root) / (m * m) for s in (-1.0, 1.0)] + [1.0]
+    h = max(abs(math.sqrt(u) * (1.0 - u) ** a * (1.0 - m * u)) for u in crit if u <= 1.0)
+    # |z^2 k'(z)| = c (n-3) sqrt(n) u^(3/2) (1-u)^((n-5)/2), largest at u = 3/m;
     # |k'(z)| = c (n-3)/n z (1-u)^((n-5)/2), largest at u = 1/(n-4)
-    u = 1.0 / (n - 4)
-    return c * math.sqrt(n) * g, c * (n - 3) / n * math.sqrt(n * u) * (1.0 - u) ** a
-
-
-def _compression_bound(r: np.ndarray, w: np.ndarray, starts: np.ndarray,
-                      c_k: float) -> float:
-    """Bound on the sup gap of the mixture (r, w) and its binned means.
-
-    r sorted ascending; bin b holds the atoms from starts[b] up to the
-    next start.  The first-order Taylor term cancels because each bin's
-    atom sits at its weighted mean radius, that of `compress_atoms`.
-    """
-    mean, _ = compress_atoms(r, w, starts)
-    dev = r - np.repeat(mean, np.diff(starts, append=r.size))
-    spread = np.add.reduceat(w * np.square(dev), starts)
-    return 0.5 * c_k * float(np.sum(spread / np.square(r[starts])))
+    u2, u1 = 3.0 / m, 1.0 / (n - 4)
+    return (c * math.sqrt(n) * h,
+            c * (n - 3) * math.sqrt(n) * u2 ** 1.5 * (1.0 - u2) ** a,
+            c * (n - 3) / n * math.sqrt(n * u1) * (1.0 - u1) ** a)
 
 
 @dataclass
@@ -189,8 +159,7 @@ class MixtureCDF:
     weights: np.ndarray
     kernel: str                 # "gaussian" or "sphere"
     n: int | None = None        # sphere kernel dimension
-    # set by the lookup-table build: its atom count and certified bound
-    table_atoms: int | None = field(default=None, init=False, compare=False)
+    # set by the lookup-table build: its certified bound
     table_bound: float | None = field(default=None, init=False, compare=False)
     _lut: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -219,15 +188,14 @@ class MixtureCDF:
         return normal_cdf_table() if self.kernel == "gaussian" else cdf_table(self.n)
 
     @property
-    def max_radius(self) -> float:
-        return float(self.radii.max())
+    def _reach(self) -> float:
+        """|z| from which the kernel table reads 0 or 1."""
+        return math.sqrt(self.n) if self.kernel == "sphere" else PHI_TABLE_CLAMP
 
     @property
     def span(self) -> float:
-        """|x| beyond which the CDF is 0/1 up to ~1e-33."""
-        if self.kernel == "sphere":
-            return math.sqrt(self.n) * self.max_radius
-        return GAUSSIAN_SPAN_FACTOR * self.max_radius
+        """|x| from which the kernel table reads 0 or 1 at every atom."""
+        return self._reach * float(self.radii.max())
 
     # -- evaluation ---------------------------------------------------------
 
@@ -235,48 +203,46 @@ class MixtureCDF:
         table = self._kernel_table()
         return kernel_sum(lambda xs, r: table(xs / r), x, radii, weights)
 
-    def _certified_count(self, r: np.ndarray, w: np.ndarray) -> tuple[int, float]:
-        """A cell count whose table bound is <= TABLE_TOL, and that bound.
+    def _build_lut(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lookup table (grid, values) of the module docstring; sets table_bound.
 
-        r, w are the atoms in radius order.  Bisects on [1, COMPRESS_ATOMS]
-        over equal-width cells; the bound is not monotone in the count, so
-        the result is a certified count, not necessarily the fewest.  A
-        mixture that no count certifies keeps the ceiling and reports its
-        (larger or infinite) bound.
+        Nodes are the integer multiples of the step in log radius, so the
+        atoms' nodes j, the table's nodes i and g's samples at i - j share
+        one grid.  The output nodes need g only at offsets that the
+        deposited nodes reach without wrapping around, so the FFT size is
+        the sample count of g, not the full convolution's length.
         """
-        c_k, dk = _kernel_constants(self.kernel, self.n)
-        cap = min(r.size, COMPRESS_ATOMS)
-        if math.isinf(c_k):
-            return cap, math.inf
-        step = 2.0 * self.span / (LUT_POINTS - 1)
-        # the linear table's interpolation term, and the kernel table's
-        interp = step * step / 8.0 * dk / r[0] ** 2 + self._kernel_table().bound
-
-        def bound(count: int) -> float:
-            return _compression_bound(r, w, _equal_width_starts(r, count), c_k) + interp
-
-        lo, hi = 1, cap
-        if bound(hi) <= TABLE_TOL:
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if bound(mid) <= TABLE_TOL:
-                    hi = mid
-                else:
-                    lo = mid + 1
-        return hi, bound(hi)
+        step = TABLE_LOG_STEP
+        pos = np.log(self.radii) / step
+        j = np.floor(pos)
+        frac = pos - j
+        low = int(j.min())
+        j = (j - low).astype(np.intp)
+        size = int(j.max()) + 2
+        mass = (np.bincount(j, self.weights * (1.0 - frac), size)
+                + np.bincount(j + 1, self.weights * frac, size))
+        # output nodes from x_0 <= r_min e^-REACH to past span at the top node
+        first = low - round(TABLE_LOG_REACH / step)
+        last = low + size - 1 + math.ceil(math.log(self._reach) / step)
+        count = last - first + 1
+        table = self._kernel_table()
+        g = table(np.exp(np.arange(first - low - size + 1, last - low + 1) * step)) - 0.5
+        fft_size = 1 << (g.size - 1).bit_length()
+        out = np.fft.irfft(np.fft.rfft(mass, fft_size) * np.fft.rfft(g, fft_size),
+                           fft_size)[size - 1:size - 1 + count]
+        np.clip(out, -0.5, 0.5, out=out)  # keeps FFT rounding (~2e-16) inside [0, 1]
+        g2, z2k, dk = _kernel_constants(self.kernel, self.n)
+        unit = np.finfo(float).eps / 2.0
+        self.table_bound = (step * step / 8.0 * g2 + math.expm1(step) ** 2 / 8.0 * z2k
+                            + math.exp(-2.0 * TABLE_LOG_REACH) / 8.0 * dk + table.bound
+                            + 24.0 * unit * math.log2(fft_size) * float(np.linalg.norm(g)))
+        x = np.exp(np.arange(first, last + 1) * step)
+        return (np.concatenate((-x[::-1], [0.0], x)),
+                np.concatenate((0.5 - out[::-1], [0.5], 0.5 + out)))
 
     def _ensure_lut(self):
         if self._lut is None:
-            order = np.argsort(self.radii)
-            r, w = self.radii[order], self.weights[order]
-            cells, self.table_bound = self._certified_count(r, w)
-            r, w = compress_atoms(r, w, _equal_width_starts(r, cells))
-            self.table_atoms = r.size
-            w = w / w.sum()
-            span = self.span
-            grid = np.linspace(-span, span, LUT_POINTS)
-            low = self._direct(grid[:LUT_POINTS // 2], r, w)
-            self._lut = (grid, np.concatenate((low, 1.0 - low[::-1])))
+            self._lut = self._build_lut()
         return self._lut
 
     def tabulates(self, points: int) -> bool:
@@ -358,7 +324,7 @@ def kolmogorov_distance(u, v) -> DistanceReport:
     i = int(np.argmax(d))
     metadata = {"points": pts.size}
     if mix.tabulates(pts.size):
-        metadata.update(table_atoms=mix.table_atoms, table_bound=mix.table_bound)
+        metadata.update(table_bound=mix.table_bound)
     return DistanceReport(rho=float(d[i]), location=float(pts[i]), metadata=metadata)
 
 

@@ -112,8 +112,8 @@ class TestTypicalCf:
         est = cf.charfn_typical(spec, np.linspace(0.0, 5.0, 11),
                                 radial_budget=20_000, rng=5)
         mix = di.typical_cdf(spec, radial_budget=20_000, rng=5)
-        radii, weights = di.compress_atoms(np.sort(mix.radii), mix.weights,
-                                           di.equal_mass_starts(mix.weights, 2048))
+        radii, weights = cf.compress_atoms(np.sort(mix.radii), mix.weights,
+                                           cf.equal_mass_starts(mix.weights, 2048))
         xs = np.linspace(-mix.span, mix.span, 2 ** 16 + 1)
         # mixture density: sum_i w_i phi_n(x / r_i) / r_i
         dens = kernel_sum(lambda x, r: density(32, x / r), xs, radii,

@@ -13,6 +13,7 @@ from typical_clt import quadrature
 from typical_clt import systems as sy
 from typical_clt.errors import ConfigurationError, DomainError, InsufficientDataError
 from typical_clt.quadrature import kernel_sum
+from typical_clt.rng import make_rng, master_seed
 from typical_clt.sphere_law import normal_cdf_table
 
 
@@ -137,46 +138,62 @@ class TestMixtureCDF:
         assert np.abs(direct - mix.cdf(xs)).max() < 1e-6
 
 
+def _midpoint_gap(mix, every=1):
+    """Largest gap of the table from the direct sum over all atoms, read at
+    the midpoints of the table's intervals, where linear interpolation errs
+    most."""
+    grid, lut = mix._ensure_lut()
+    mid = 0.5 * (grid[1:] + grid[:-1])[::every]
+    return float(np.abs(np.interp(mid, grid, lut)
+                        - mix._direct(mid, mix.radii, mix.weights)).max())
+
+
 class TestTableBound:
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), atoms=st.integers(2000, 20_000),
            n=st.sampled_from([None, 5, 8, 16, 64, 256]))
     def test_bound_covers_table_gap(self, seed, atoms, n):
         # radii like |X|/sqrt(n)'s: root mean squares of n Gaussian coordinates
-        # (of 16 for the Gaussian kernel); the gap of the table from the
-        # full-atom direct sum is read at midpoints of the table's cells,
-        # where linear interpolation errs most
+        # (of 16 for the Gaussian kernel)
         rng = np.random.default_rng(seed)
         dim = 16 if n is None else n
         mix = di.MixtureCDF(radii=np.sqrt(rng.chisquare(dim, atoms) / dim),
                             weights=np.full(atoms, 1.0 / atoms),
                             kernel="gaussian" if n is None else "sphere", n=n)
-        grid, lut = mix._ensure_lut()
-        mid = 0.5 * (grid[1:] + grid[:-1])[::64]
-        gap = np.abs(np.interp(mid, grid, lut) - mix._direct(mid, mix.radii, mix.weights))
-        assert gap.max() <= mix.table_bound
-        # a cell count below the ceiling, min(atoms, COMPRESS_ATOMS), is
-        # certified; table_atoms counts only the non-empty cells
-        order = np.argsort(mix.radii)
-        cells, bound = mix._certified_count(mix.radii[order], mix.weights[order])
-        assert bound == mix.table_bound
-        assert cells == min(atoms, di.COMPRESS_ATOMS) or bound <= di.TABLE_TOL
+        assert _midpoint_gap(mix, every=64) <= mix.table_bound <= 1e-6
 
     def test_uniform_n16_certifies_few_atoms(self):
         mix = di.typical_cdf(spec_iid("uniform", 16), radial_budget=100_000)
         mix._ensure_lut()
-        assert mix.table_atoms <= 256
-        assert mix.table_bound <= di.TABLE_TOL
+        assert mix.table_bound <= 1e-6
+
+    @pytest.mark.parametrize("kind, n, target", [
+        ("normal", 8, "G"), ("exponential", 8, "G"), ("exponential", 16, "G"),
+        *[("uniform", n, t) for n in (16, 32, 64, 128, 256) for t in ("F", "G")]])
+    def test_catalog_tables_certify(self, kind, n, target):
+        # the radial atoms of a sweep cell at seed 42
+        seed = master_seed(make_rng(42, "sweep_n", n))
+        mix = di.build_target(spec_iid(kind, n), target, 100_000, make_rng(seed, "radial"))
+        mix._ensure_lut()
+        assert mix.table_bound <= 1e-6
+
+    @pytest.mark.parametrize("kind, n, target", [("exponential", 8, "G"),
+                                                 ("uniform", 16, "F")])
+    def test_table_within_bound_at_every_midpoint(self, kind, n, target):
+        mix = di.build_target(spec_iid(kind, n), target, 2000, make_rng(42, "radial"))
+        assert _midpoint_gap(mix) <= mix.table_bound
 
     def test_identical_radii_one_atom(self):
-        # every cell but the first is empty, and one bin has no spread
+        # all weight on the two log-grid nodes around log 1.3; the bound is
+        # the closed-form sum plus an FFT rounding term of ~1e-12
         mix = di.MixtureCDF(radii=np.full(5000, 1.3), weights=np.full(5000, 1.0 / 5000),
                             kernel="gaussian")
-        mix._ensure_lut()
-        step = 2.0 * mix.span / (di.LUT_POINTS - 1)
-        interp = step * step / 8.0 * di._kernel_constants("gaussian", None)[1] / 1.3 ** 2
-        assert mix.table_atoms == 1
-        assert mix.table_bound == interp + normal_cdf_table().bound
+        g2, z2k, dk = di._kernel_constants("gaussian", None)
+        step = di.TABLE_LOG_STEP
+        closed = (step * step / 8.0 * g2 + math.expm1(step) ** 2 / 8.0 * z2k
+                  + math.exp(-2.0 * di.TABLE_LOG_REACH) / 8.0 * dk + normal_cdf_table().bound)
+        assert _midpoint_gap(mix, every=16) <= mix.table_bound
+        assert 0.0 < mix.table_bound - closed <= 1e-11
 
     @pytest.mark.parametrize("kernel, n", [("gaussian", None), ("sphere", 16)])
     def test_table_halves_sum_to_one(self, kernel, n):
@@ -188,32 +205,33 @@ class TestTableBound:
         assert np.abs(lut + lut[::-1] - 1.0).max() <= 2.2e-16
         assert np.abs(grid + grid[::-1]).max() <= 4 * np.finfo(float).eps * mix.span
 
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_unbounded_kernel_derivative_keeps_ceiling(self, n):
-        rng = np.random.default_rng(1)
-        mix = di.MixtureCDF(radii=rng.uniform(0.5, 1.5, 5000),
-                            weights=np.full(5000, 1.0 / 5000), kernel="sphere", n=n)
-        assert mix._certified_count(np.sort(mix.radii), mix.weights) == (
-            di.COMPRESS_ATOMS, math.inf)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_unbounded_kernel_derivative_infinite_bound(self, n):
+        # k' is unbounded for n < 5, so no bound is stated; the table still
+        # holds within 1e-5 of the direct sum
+        mix = di.typical_cdf(spec_iid("uniform", n), radial_budget=2000, rng=1)
+        assert _midpoint_gap(mix) <= 1e-5
+        assert mix.table_bound == math.inf
 
     @pytest.mark.parametrize("n", [None, 5, 6, 8, 16, 64, 256])
     def test_kernel_constants_match_dense_grid(self, n):
-        # C_K = sup |(z^2 k)'(z)| and sup |k'|, by finite differences
+        # sup |z k + z^2 k'|, sup |z^2 k'| and sup |k'|, by finite differences
         from typical_clt.sphere_law import density, normal_pdf
-        c_k, dk = di._kernel_constants("gaussian" if n is None else "sphere", n)
+        g2, z2k, dk = di._kernel_constants("gaussian" if n is None else "sphere", n)
         z = np.linspace(-1.0, 1.0, 400_001) * (12.0 if n is None else math.sqrt(n))
         k = normal_pdf(z) if n is None else density(n, z)
-        assert c_k == pytest.approx(np.abs(np.gradient(z * z * k, z)).max(), rel=1e-4)
-        assert dk == pytest.approx(np.abs(np.gradient(k, z)).max(), rel=1e-4)
+        dk_grid = np.gradient(k, z)
+        assert g2 == pytest.approx(np.abs(z * k + z * z * dk_grid).max(), rel=1e-4)
+        assert z2k == pytest.approx(np.abs(z * z * dk_grid).max(), rel=1e-4)
+        assert dk == pytest.approx(np.abs(dk_grid).max(), rel=1e-4)
 
     def test_distance_reports_table(self):
         mix = di.typical_cdf(spec_iid("uniform", 64), radial_budget=20_000, rng=3)
         small = di.StepCDF.from_samples(np.random.default_rng(4).standard_normal(500))
-        assert "table_atoms" not in di.kolmogorov_distance(small, mix).metadata
+        assert "table_bound" not in di.kolmogorov_distance(small, mix).metadata
         big = di.StepCDF.from_samples(np.random.default_rng(4).standard_normal(2000))
         meta = di.kolmogorov_distance(big, mix).metadata
-        assert meta["table_atoms"] == mix.table_atoms < di.COMPRESS_ATOMS
-        assert meta["table_bound"] == mix.table_bound <= di.TABLE_TOL
+        assert meta["table_bound"] == mix.table_bound <= 1e-6
 
     def test_radial_atoms_stream_rows(self):
         # a whole 100000 x 256 matrix and its square would take 410 MB
@@ -372,16 +390,15 @@ class TestMeanThetaDistance:
 
     @pytest.fixture
     def table_builds(self, monkeypatch):
-        # every lookup-table build certifies its cell count exactly once;
-        # the list records the atom count of each build
+        # the list records the atom count of each lookup-table build
         builds = []
-        original = di.MixtureCDF._certified_count
+        original = di.MixtureCDF._build_lut
 
-        def counting(self, radii, weights):
-            builds.append(radii.size)
-            return original(self, radii, weights)
+        def counting(self):
+            builds.append(self.radii.size)
+            return original(self)
 
-        monkeypatch.setattr(di.MixtureCDF, "_certified_count", counting)
+        monkeypatch.setattr(di.MixtureCDF, "_build_lut", counting)
         return builds
 
     def test_table_built_once_when_read(self, table_builds):
