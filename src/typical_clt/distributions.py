@@ -21,16 +21,17 @@ convolution): for x > 0, with s = log x,
 
 The table is built in one pass (`MixtureCDF._build_lut`): each atom's
 weight is split linearly between the two nearest nodes of a log-radius
-grid of step TABLE_LOG_STEP (cloud-in-cell deposition; Hockney and
-Eastwood, Computer Simulation Using Particles, 1981), g is sampled from
-the kernel's table on the same step, and one real FFT convolves the
-two.  That gives M - 1/2 at the geometric nodes x_i = e^(i step), from
-r_min e^-TABLE_LOG_REACH or below up to span or above, where every
-kernel is 1.  Both kernels are symmetric, so M(-x) = 1 - M(x): the
-table holds the nodes -x, 0 and x, and `cdf` reads it by linear
-interpolation in x, which pays no log per lookup.  Its distance from
-the mixture with the exact kernel is at most `MixtureCDF.table_bound`,
-the sum of five terms, none of which depends on r_min:
+grid of step TABLE_LOG_STEP (cloud-in-cell deposition, `deposit_log_radii`,
+which the typical cf shares; Hockney and Eastwood, Computer Simulation
+Using Particles, 1981), g is sampled from the kernel's table on the same
+step, and one real FFT convolves the two.  That gives M - 1/2 at the
+geometric nodes x_i = e^(i step), from r_min e^-TABLE_LOG_REACH or below
+up to span or above, where every kernel is 1.  Both kernels are
+symmetric, so M(-x) = 1 - M(x): the table holds the nodes -x, 0 and x,
+and `cdf` reads it by linear interpolation in x, which pays no log per
+lookup.  Its distance from the mixture with the exact kernel is at most
+`MixtureCDF.table_bound`, the sum of five terms, none of which depends
+on r_min:
 
     deposition         step^2/8 sup|g''|,    g''(s) = z k(z) + z^2 k'(z), z = e^s;
     interpolation      (e^step - 1)^2/8 sup|z^2 k'(z)|   on the geometric nodes;
@@ -38,9 +39,8 @@ the sum of five terms, none of which depends on r_min:
     the kernel table's own `bound`;
     FFT rounding       24 u log2(N) |g|_2,   u the unit roundoff, N the FFT size
 
-for the kernel density k (`_kernel_constants`).  The deposition keeps
-each atom's zeroth and first moments in log radius, so its error is
-that of linear interpolation of g.  The FFT term is Higham's bound for
+for the kernel density k (`_kernel_constants`), the deposition term
+that of `deposit_log_radii`.  The FFT term is Higham's bound for
 the radix-2 FFT (Accuracy and Stability of Numerical Algorithms, 2nd
 ed., 2002, ch. 24) carried through the two forward transforms, the
 product and the inverse, with sum w_i = 1: about 1e-12, against a
@@ -117,6 +117,22 @@ class StepCDF:
 # ---------------------------------------------------------------------------
 # Mixture CDF
 # ---------------------------------------------------------------------------
+
+def deposit_log_radii(radii: np.ndarray, weights: np.ndarray) -> tuple[int, np.ndarray]:
+    """Cloud-in-cell deposition: mass[i] on the node e^((low + i) TABLE_LOG_STEP).
+
+    Each atom's weight is split linearly between the two nodes around its
+    log radius, which keeps the total weight and the mean log radius.
+    """
+    pos = np.log(radii) / TABLE_LOG_STEP
+    j = np.floor(pos)
+    frac = pos - j
+    low = int(j.min())
+    j = (j - low).astype(np.intp)
+    size = int(j.max()) + 2
+    return low, (np.bincount(j, weights * (1.0 - frac), size)
+                 + np.bincount(j + 1, weights * frac, size))
+
 
 def _kernel_constants(kernel: str, n: int | None) -> tuple[float, float, float]:
     """(sup|g''|, sup|z^2 k'(z)|, sup|k'|) of a kernel with density k.
@@ -199,28 +215,22 @@ class MixtureCDF:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _direct(self, x: np.ndarray, radii: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def _direct(self, x: np.ndarray) -> np.ndarray:
         table = self._kernel_table()
-        return kernel_sum(lambda xs, r: table(xs / r), x, radii, weights)
+        return kernel_sum(lambda xs, r: table(xs / r), x, self.radii, self.weights)
 
     def _build_lut(self) -> tuple[np.ndarray, np.ndarray]:
         """The lookup table (grid, values) of the module docstring; sets table_bound.
 
         Nodes are the integer multiples of the step in log radius, so the
-        atoms' nodes j, the table's nodes i and g's samples at i - j share
-        one grid.  The output nodes need g only at offsets that the
-        deposited nodes reach without wrapping around, so the FFT size is
-        the sample count of g, not the full convolution's length.
+        nodes j of `deposit_log_radii`, the table's nodes i and g's samples
+        at i - j share one grid.  The output nodes need g only at offsets
+        that the deposited nodes reach without wrapping around, so the FFT
+        size is the sample count of g, not the full convolution's length.
         """
         step = TABLE_LOG_STEP
-        pos = np.log(self.radii) / step
-        j = np.floor(pos)
-        frac = pos - j
-        low = int(j.min())
-        j = (j - low).astype(np.intp)
-        size = int(j.max()) + 2
-        mass = (np.bincount(j, self.weights * (1.0 - frac), size)
-                + np.bincount(j + 1, self.weights * frac, size))
+        low, mass = deposit_log_radii(self.radii, self.weights)
+        size = mass.size
         # output nodes from x_0 <= r_min e^-REACH to past span at the top node
         first = low - round(TABLE_LOG_REACH / step)
         last = low + size - 1 + math.ceil(math.log(self._reach) / step)
@@ -258,7 +268,7 @@ class MixtureCDF:
         scalar = np.isscalar(x)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if not self.tabulates(x.size):
-            vals = self._direct(x, self.radii, self.weights)
+            vals = self._direct(x)
         else:
             grid, lut = self._ensure_lut()
             vals = np.interp(x, grid, lut, left=0.0, right=float(self.weights.sum()))

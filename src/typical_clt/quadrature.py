@@ -1,8 +1,9 @@
 """Composite Gauss-Legendre nodes, the one block rule and the kernel sum.
 
 Oscillatory cosine transforms are integrated with a fixed-order rule on
-panels whose count follows the oscillation frequency.  Mixture CDFs and
-the quadrature are both sums f(x_i, node_j) @ weights (`kernel_sum`).
+panels whose count follows the oscillation frequency.  The direct CDF of
+a small mixture and the quadrature are both sums f(x_i, node_j) @ weights
+(`kernel_sum`); a mixture's lookup table is one FFT convolution instead.
 
 Every blocked temporary of the package (these sums, streamed sample
 rows, cf grids, pair products, the M_p search's scores) is a rows x width

@@ -10,7 +10,7 @@ from typical_clt.errors import DomainError
 from typical_clt.functionals import sigma_2p
 from typical_clt.quadrature import kernel_sum
 from typical_clt.rng import make_rng
-from typical_clt.sphere_law import charfn_Jn_grid, density, sample_direction
+from typical_clt.sphere_law import charfn_Jn_grid, density, jn_table, sample_direction
 
 
 def spec_iid(base, n=64):
@@ -112,14 +112,34 @@ class TestTypicalCf:
         est = cf.charfn_typical(spec, np.linspace(0.0, 5.0, 11),
                                 radial_budget=20_000, rng=5)
         mix = di.typical_cdf(spec, radial_budget=20_000, rng=5)
-        radii, weights = cf.compress_atoms(np.sort(mix.radii), mix.weights,
-                                           cf.equal_mass_starts(mix.weights, 2048))
+        low, mass = di.deposit_log_radii(mix.radii, mix.weights)
+        nodes = np.flatnonzero(mass)
+        radii, weights = np.exp((low + nodes) * di.TABLE_LOG_STEP), mass[nodes]
         xs = np.linspace(-mix.span, mix.span, 2 ** 16 + 1)
         # mixture density: sum_i w_i phi_n(x / r_i) / r_i
         dens = kernel_sum(lambda x, r: density(32, x / r), xs, radii,
                           weights / weights.sum() / radii)
         ft = np.array([np.trapezoid(np.cos(tt * xs) * dens, xs) for tt in est.t])
         assert np.abs(est.values.real - ft).max() <= 1e-3
+
+    @pytest.mark.parametrize("kind, n", [("uniform", 16), ("normal", 8)])
+    def test_deposition_within_bound_of_all_atoms(self, kind, n):
+        # the docstring's bound, delta^2/8 sup|h''| plus the J_n table's own
+        # bound once for each of the two sums read through it
+        spec = spec_iid(kind, n)
+        t = cf.default_t_grid(10.0, 64)
+        est = cf.charfn_typical(spec, t, radial_budget=100_000, rng=42)
+        r, w = di.radial_atoms(spec, 100_000, 42)
+        low, mass = di.deposit_log_radii(r, w)
+        # the largest J_n argument of charfn_typical, so both read one table
+        b_max = t[-1] * math.sqrt(n) * math.exp((low + np.flatnonzero(mass)[-1])
+                                                 * di.TABLE_LOG_STEP)
+        jn = jn_table(n, float(b_max))
+        every = kernel_sum(lambda ts, rs: jn(ts * rs), t * math.sqrt(n), r, w)
+        b = np.linspace(0.0, b_max, 20_001)
+        h2 = b * b * ((n - 2) / n * charfn_Jn_grid(n + 2, b) - charfn_Jn_grid(n, b))
+        bound = di.TABLE_LOG_STEP ** 2 / 8.0 * float(np.abs(h2).max()) + 2.0 * jn.bound
+        assert np.abs(est.values.real - every).max() <= bound
 
     def test_boundedness_profile(self):
         # |f(t)| <= C ((1 + sigma_4^2)/n + exp(-t^2/4)) with one fitted C
@@ -222,6 +242,18 @@ class TestSmoothing:
         v = self.grid_estimate(np.clip(1.0 - 0.05 * t, 0, None), t)
         i_close, _, _ = cf.smoothing_rhs(u, v, 2.0, 4.0)
         assert i_close == pytest.approx(0.05 * 2.0, rel=1e-6)
+
+    def test_grid_from_zero_close_integral(self):
+        # a grid point at t = 0, where |u - v| / t is 0/0, leaves I_close as it was
+        t = cf.default_t_grid(80.0, 256)
+        u = self.grid_estimate(np.exp(-t ** 2 / 2), t)
+        v = self.grid_estimate(np.exp(-t ** 2 / 2 + 0.1j * t), t)
+        t0 = np.concatenate(([0.0], t))
+        u0 = self.grid_estimate(np.concatenate(([1.0], u.values)), t0)
+        v0 = self.grid_estimate(np.concatenate(([1.0], v.values)), t0)
+        i_close = cf.smoothing_rhs(u, v, 2.0, 80.0)[0]
+        assert math.isfinite(i_close) and i_close > 0.0
+        assert cf.smoothing_rhs(u0, v0, 2.0, 80.0)[0] == i_close
 
     def test_full_pipeline_trig(self):
         rep = cf.smoothing_report(TRIG64, theta_budget=8,

@@ -138,14 +138,31 @@ class TestMixtureCDF:
         assert np.abs(direct - mix.cdf(xs)).max() < 1e-6
 
 
+class TestDepositLogRadii:
+    def test_keeps_weight_and_mean_log_radius(self):
+        rng = np.random.default_rng(3)
+        r = np.sqrt(rng.chisquare(16, 10_000) / 16)
+        w = np.full(r.size, 1e-4)
+        low, mass = di.deposit_log_radii(r, w)
+        log_nodes = (low + np.arange(mass.size)) * di.TABLE_LOG_STEP
+        assert np.all(mass >= 0.0)
+        assert mass.sum() == pytest.approx(w.sum(), abs=1e-14)
+        assert mass @ log_nodes == pytest.approx(w @ np.log(r), abs=1e-14)
+
+    def test_unit_atom_is_node_one(self):
+        low, mass = di.deposit_log_radii(np.array([1.0]), np.array([1.0]))
+        nodes = np.flatnonzero(mass)
+        assert np.exp((low + nodes) * di.TABLE_LOG_STEP).tolist() == [1.0]
+        assert mass[nodes].tolist() == [1.0]
+
+
 def _midpoint_gap(mix, every=1):
     """Largest gap of the table from the direct sum over all atoms, read at
     the midpoints of the table's intervals, where linear interpolation errs
     most."""
     grid, lut = mix._ensure_lut()
     mid = 0.5 * (grid[1:] + grid[:-1])[::every]
-    return float(np.abs(np.interp(mid, grid, lut)
-                        - mix._direct(mid, mix.radii, mix.weights)).max())
+    return float(np.abs(np.interp(mid, grid, lut) - mix._direct(mid)).max())
 
 
 class TestTableBound:

@@ -96,10 +96,10 @@ def _aniso_m2():
 
 
 def _typical_cf():
-    # the call reads J_64 up to t sqrt(n) = 80 times its largest atom,
-    # 1.197 at this seed: below 96, the candidate cutoff the table for 80
-    # reaches, so the call reads the cached table
-    cf.jn_table(64, 80.0)
+    # the call reads J_64 up to t sqrt(n) = 80 times its largest deposited
+    # node, 1.267 at this seed: below 144, the candidate cutoff the table
+    # for 101.4 reaches, so the call reads the cached table
+    cf.jn_table(64, 101.4)
     return lambda: cf.charfn_typical(UNIFORM64, cf.default_t_grid(10.0),
                                      radial_budget=100_000, rng=2)
 
