@@ -6,9 +6,10 @@ a small mixture and the quadrature are both sums f(x_i, node_j) @ weights
 (`kernel_sum`); a mixture's lookup table is one FFT convolution instead.
 
 Every blocked temporary of the package (these sums, streamed sample
-rows, cf grids, pair products, the M_p search's scores) is a rows x width
-array cut by `blocks` to BLOCK_ENTRIES entries or fewer, small enough to
-stay in a core's L2 cache.  Blocks of a multiple of 8 rows put a BLAS
+rows, the fill of a whole sample matrix, cf grids, pair products, the
+M_p search's scores, the tail check's sums) is a rows x width array cut
+by `blocks` to BLOCK_ENTRIES entries or fewer, small enough to stay in
+a core's L2 cache.  Blocks of a multiple of 8 rows put a BLAS
 matvec's remainder rows where the one-shot matvec does, and row-blocked
 gemm columns come out as the one-shot gemm's (bar an odd last column,
 which `functionals._empirical_lp` scores by matvec), so with one BLAS

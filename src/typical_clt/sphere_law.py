@@ -170,9 +170,18 @@ class HermiteTable:
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """The interpolant at t in [0, last knot]; nan takes the last interval."""
         j = np.fmin(t * (1.0 / self.step), self._last).astype(np.intp)
-        s = t - j * self.step
+        s = j * -self.step
+        s += t
         c0, c1, c2, c3 = self._coef
-        return c0[j] + s * (c1[j] + s * (c2[j] + s * c3[j]))
+        # c0 + s (c1 + s (c2 + s c3)), in place on the gathered c3
+        r = c3[j]
+        r *= s
+        r += c2[j]
+        r *= s
+        r += c1[j]
+        r *= s
+        r += c0[j]
+        return r
 
 
 def _rademacher_abs_moment3(k: int) -> float:
@@ -322,6 +331,20 @@ def _jn_cut(n: int, k: int) -> float:
     return 8.0 * math.sqrt(n) * 1.5 ** k
 
 
+def _jn_stop(n: int, reach: int) -> tuple[int, bool]:
+    """The candidate a J_n table asked to reach `_jn_cut(n, reach)` stops at.
+
+    The first k < reach past which the verified envelope is below 1e-12,
+    with True; else reach, with False.
+    """
+    for k in range(reach):
+        cut = _jn_cut(n, k)
+        probe = charfn_Jn_grid(n, np.linspace(cut, 3.0 * cut, 64))
+        if float(np.abs(probe).max()) < 1e-12:
+            return k, True
+    return reach, False
+
+
 class JnTable:
     """J_n as a cubic Hermite table on [0, cut], for bulk evaluation.
 
@@ -330,20 +353,15 @@ class JnTable:
     sphere coordinate xi, so |J_n''''| <= E xi^4 = 3/(n(n+2)), and
     `bound` is the Hermite term h^4/384 * 3/(n(n+2)) (3e-13 at n = 64)
     plus the quadrature tolerance JN_GRID_TOL, carried by the values and,
-    scaled by h/4 * cut/n, by the slopes.  Cut: the first `_jn_cut(n, k)`,
-    k < reach, past which the verified envelope is below 1e-12 (0
-    beyond), else `_jn_cut(n, reach)` (nan beyond).
+    scaled by h/4 * cut/n, by the slopes.  Cut: `_jn_cut` at the
+    candidate of `_jn_stop(n, reach)`, with 0 beyond it where the envelope
+    has decayed there and nan beyond otherwise.
     """
 
     def __init__(self, n: int, reach: int):
-        self._beyond = math.nan
-        for k in range(reach):
-            cut = _jn_cut(n, k)
-            probe = charfn_Jn_grid(n, np.linspace(cut, 3.0 * cut, 64))
-            if float(np.abs(probe).max()) < 1e-12:
-                self._beyond, reach = 0.0, k
-                break
-        s = np.arange(0.0, _jn_cut(n, reach) + JN_TABLE_STEP, JN_TABLE_STEP)
+        stop, decayed = _jn_stop(n, reach)
+        self._beyond = 0.0 if decayed else math.nan
+        s = np.arange(0.0, _jn_cut(n, stop) + JN_TABLE_STEP, JN_TABLE_STEP)
         vals = charfn_Jn_grid(n, s)
         vals[0] = 1.0
         self.n = n
@@ -358,7 +376,7 @@ class JnTable:
 
 
 def jn_table(n: int, max_arg: float) -> JnTable:
-    """Bulk J_n on [0, max_arg], a JnTable cached per `_jn_cut` interval.
+    """Bulk J_n on [0, max_arg], a JnTable cached per cutoff it stops at.
 
     For small n the envelope decays like s^(-(n-1)/2), below 1e-12 only
     from s = 710 at n = 12 and later below, so the table runs to the
@@ -373,7 +391,12 @@ def jn_table(n: int, max_arg: float) -> JnTable:
     return _jn_table(n, reach)
 
 
-_jn_table = lru_cache(maxsize=32)(JnTable)
+@lru_cache(maxsize=32)
+def _jn_table(n: int, reach: int) -> JnTable:
+    """JnTable(n, reach), one object for all the reaches that stop alike."""
+    stop, decayed = _jn_stop(n, reach)
+    least = stop + decayed  # the least reach that stops there
+    return JnTable(n, reach) if least == reach else _jn_table(n, least)
 
 
 # ---------------------------------------------------------------------------

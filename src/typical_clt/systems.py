@@ -25,6 +25,10 @@ per row at a time, or fewer where the kind has a matrix-free form:
   count and the BLAS thread count), where the matrix path itself rounds
   differently.
 
+`sample_vector`, which does return the whole matrix, fills it by the
+same blocks, so no kind holds a second full-size array (integer signs,
+trig angles) beside it.
+
 By the block rule of `quadrature`, with one BLAS thread the blocked
 matvec is bit for bit the matrix path; squared norms are bit for bit in
 any case.
@@ -179,9 +183,22 @@ def _walsh_rows(n: int, bits: np.ndarray) -> np.ndarray:
 
 
 def sample_vector(spec: SystemSpec, count: int, rng) -> SampleBatch:
-    """Draw `count` i.i.d. rows from the law of X."""
+    """Draw `count` i.i.d. rows from the law of X.
+
+    The matrix is filled one `quadrature.blocks` block of rows at a time,
+    so a kind's draw temporaries (integer signs, trig angles) stay one
+    block; a block drawn from as_rng(rng) is the next rows of the one-shot
+    draw.  A count that fits in one block is that block's array itself.
+    """
     check_count(count, "sample count")
-    return SampleBatch(matrix=_sample_rows(spec, count, as_rng(rng)), spec=spec)
+    gen = as_rng(rng)
+    cuts = list(blocks(count, spec.n))
+    if len(cuts) == 1:
+        return SampleBatch(matrix=_sample_rows(spec, count, gen), spec=spec)
+    matrix = np.empty((count, spec.n))
+    for block in cuts:
+        matrix[block] = _sample_rows(spec, block.stop - block.start, gen)
+    return SampleBatch(matrix=matrix, spec=spec)
 
 
 def _draw(draw, count: int, rng, width: int) -> np.ndarray:

@@ -295,6 +295,17 @@ class TestRunVerify:
         assert lines[0] == "# typical-clt v1"
         assert len(lines) == 2 + len(rep.checks)
 
+    def test_tail_counts_the_one_shot_draw(self):
+        # the sums are counted a block at a time: the same share as the
+        # mean over the one-shot draw of all 1M sums
+        cases = {"two_point": fn.TwoPointXi(), "exponential": fn.ExponentialXi()}
+        rep = ex._tail_checks(1.0, 42)
+        for check in rep.checks:
+            name = check.name.removeprefix("lower_tail_")
+            sums = cases[name].sample_sum(100, check.budget, make_rng(42, "tail", name))
+            assert check.budget == 1_000_000
+            assert check.lhs == np.mean(sums <= 50.0)
+
     def test_sphere_suite_passes(self):
         rep = ex.run_verify(suite="sphere", seed=42)
         assert rep.all_passed

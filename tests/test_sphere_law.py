@@ -179,6 +179,20 @@ class TestNormalCdfTable:
         assert np.abs(table(-xs) + table(xs) - 1.0).max() <= 2.2e-16
 
 
+@pytest.mark.parametrize("half, top", [
+    (lambda: sl.normal_cdf_table()._half, sl.PHI_TABLE_CLAMP),
+    (lambda: sl.cdf_table(64)._half, math.pi / 2.0),
+], ids=["normal", "sphere64"])
+def test_hermite_in_place_horner_is_the_expression(half, top):
+    # the in-place Horner steps round exactly as the nested expression
+    table = half()
+    t = np.random.default_rng(5).uniform(0.0, top, 65536)
+    j = np.fmin(t * (1.0 / table.step), table._last).astype(np.intp)
+    s = t - j * table.step
+    c0, c1, c2, c3 = table._coef
+    assert np.array_equal(table(t), c0[j] + s * (c1[j] + s * (c2[j] + s * c3[j])))
+
+
 class TestSampleDirection:
     def test_unit_norm(self):
         for seed in range(5):
@@ -271,6 +285,16 @@ class TestCharfnJn:
         assert math.isnan(table(table.cut + 1.0))
         assert sl.jn_table(13, 44.0) is table and sl.jn_table(13, 64.8) is table
         assert sl.jn_table(13, 66.0) is not table
+
+    def test_one_table_per_cutoff_reached(self):
+        # J_64's envelope is below 1e-12 past the first candidate, 64, so
+        # tables asked for 80, 101.4 and 150 (reach 1, 2, 3) all stop there
+        table = sl.jn_table(64, 80.0)
+        assert sl.jn_table(64, 101.4) is table and sl.jn_table(64, 150.0) is table
+        assert table.cut == 64.0 and table(table.cut + 1.0) == 0.0
+        s = np.linspace(0.0, 70.0, 2001)
+        for reach in (1, 2, 3):
+            assert np.array_equal(table(s), sl.JnTable(64, reach)(s))
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_bulk_evaluator_small_n(self, n):

@@ -152,6 +152,34 @@ class TestSampling:
                             lambda gen, lo, hi, size: gen.uniform(lo, hi, size=size))
         assert np.array_equal(got, draw())
 
+    @pytest.mark.parametrize("kind", sy.KINDS)
+    def test_block_fill_is_the_one_shot_draw(self, kind):
+        # one block, two blocks and 9 rows, two blocks and a lone row (which
+        # joins the second block): each equals the one-shot draw bit for bit
+        spec = sy.SystemSpec(kind=kind, n=64)
+        step = next(blocks(1 << 62, spec.n)).stop
+        for count in (step, 2 * step + 9, 2 * step + 1):
+            got = sy.sample_vector(spec, count, make_rng(4, "x", count)).matrix
+            assert np.array_equal(got, sy._sample_rows(spec, count, make_rng(4, "x", count)))
+        gen = make_rng(4, "twice")
+        halves = [sy.sample_vector(spec, count, gen).matrix for _ in range(2)]
+        whole = sy.sample_vector(spec, 2 * count, make_rng(4, "twice")).matrix
+        assert np.array_equal(whole, np.concatenate(halves))
+
+    @pytest.mark.parametrize("kind", sy.KINDS)
+    def test_block_fill_holds_one_matrix(self, kind):
+        # the one-shot draw held a second full-size array for rademacher,
+        # fixed_norm (integer signs) and trig (angles): 2.0x the matrix
+        spec = sy.SystemSpec(kind=kind, n=64)
+        sy.sample_vector(spec, 8, 0)  # the kind's cached tables
+        tracemalloc.start()
+        try:
+            batch = sy.sample_vector(spec, 20_000, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= batch.matrix.nbytes + 2 * 2**20
+
     def test_count_validation(self):
         with pytest.raises(ConfigurationError):
             sy.sample_vector(spec_iid("normal"), 0, 1)
