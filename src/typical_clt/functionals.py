@@ -13,7 +13,10 @@ bound for sums of nonnegative i.i.d. variables with unit mean.
 M_p is exact where a closed form exists (Gaussian systems, and p = 2 for
 isotropic ones, so M_2 for every kind).  Elsewhere a search maximizes an
 empirical L^p norm over candidate directions with coordinate-ascent
-refinement; that is a lower-bound estimate and is flagged as such.
+refinement, each step size stopped once its best proposal gains less
+than one standard error of the current score; that is flagged as a
+lower-bound estimate, though scoring the chosen direction on the batch
+that chose it biases it upwards.
 """
 
 from __future__ import annotations
@@ -161,7 +164,10 @@ def _search_Mp(spec: SystemSpec, p: float, budget: int, rng) -> MomentEstimate:
     best = int(np.argmax(scores))
     theta = directions[:, best].copy()
     value = float(scores[best])
-    # coordinate ascent with shrinking step; stops once gains hit batch noise
+    se = root_mean_se(_abs_pow(batch.matrix @ theta, p), p)
+    # coordinate ascent with shrinking step; a step size ends once its best
+    # proposal gains less than one SE of the current score, the batch noise
+    # that any further gain would mostly be fitting
     signed_axes = np.concatenate([np.eye(n), -np.eye(n)], axis=1)
     for step in (0.5, 0.2, 0.08, 0.03, 0.01):
         for _ in range(10):
@@ -169,11 +175,11 @@ def _search_Mp(spec: SystemSpec, p: float, budget: int, rng) -> MomentEstimate:
             props /= np.linalg.norm(props, axis=0, keepdims=True)
             sc = _empirical_lp(batch.matrix, props, p)
             j = int(np.argmax(sc))
-            if sc[j] <= value * (1.0 + 1e-6):
+            if sc[j] <= value + se:
                 break
             value = float(sc[j])
             theta = props[:, j].copy()
-    se = root_mean_se(_abs_pow(batch.matrix @ theta, p), p)
+            se = root_mean_se(_abs_pow(batch.matrix @ theta, p), p)
     return MomentEstimate(value=value, se=se, strategy="search", direction=theta)
 
 

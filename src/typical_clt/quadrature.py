@@ -26,10 +26,10 @@ GL_ORDER = 16
 # Entries of one rows x width block, 512 KB of float64.  The M_p search's
 # 504-row x 128-column score block and its scratch then stay in a 2 MB L2
 # cache, while 4 MB blocks streamed from memory at every ascent step (on a
-# 2-vCPU Linux VM at one BLAS thread, its six p = 3 searches took 2.9-3.5 s
-# in 4 MB blocks, 2.1-2.5 s in these).  The smaller blocks cost page faults,
-# not time: sweep-uniform-F takes ~199k minor faults per run against ~131k
-# with 4 MB blocks, in the same wall time.  Blocks of 32 MB sit just under
+# 2-vCPU Linux VM at one BLAS thread, verify's six p = 3 searches took
+# 0.49-0.52 s in 4 MB blocks, 0.39-0.41 s in these).  The smaller blocks
+# cost page faults, not time: sweep-uniform-F takes ~199k minor faults per
+# run against ~131k with 4 MB blocks, in the same wall time.  Blocks of 32 MB sit just under
 # glibc's 32 MiB mmap ceiling: freeing one raises the mmap threshold to its
 # size, and the heap then keeps later blocks (verify --suite all peaked at
 # 557 MB with them, 477 MB with 4 MB ones).

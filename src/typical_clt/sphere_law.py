@@ -354,12 +354,13 @@ class JnTable:
     `bound` is the Hermite term h^4/384 * 3/(n(n+2)) (3e-13 at n = 64)
     plus the quadrature tolerance JN_GRID_TOL, carried by the values and,
     scaled by h/4 * cut/n, by the slopes.  Cut: `_jn_cut` at the
-    candidate of `_jn_stop(n, reach)`, with 0 beyond it where the envelope
-    has decayed there and nan beyond otherwise.
+    candidate of `stop`, which is `_jn_stop(n, reach)` and is probed here
+    unless given, with 0 beyond it where the envelope has decayed there
+    and nan beyond otherwise.
     """
 
-    def __init__(self, n: int, reach: int):
-        stop, decayed = _jn_stop(n, reach)
+    def __init__(self, n: int, reach: int, stop: tuple[int, bool] | None = None):
+        stop, decayed = _jn_stop(n, reach) if stop is None else stop
         self._beyond = 0.0 if decayed else math.nan
         s = np.arange(0.0, _jn_cut(n, stop) + JN_TABLE_STEP, JN_TABLE_STEP)
         vals = charfn_Jn_grid(n, s)
@@ -393,10 +394,14 @@ def jn_table(n: int, max_arg: float) -> JnTable:
 
 @lru_cache(maxsize=32)
 def _jn_table(n: int, reach: int) -> JnTable:
-    """JnTable(n, reach), one object for all the reaches that stop alike."""
-    stop, decayed = _jn_stop(n, reach)
-    least = stop + decayed  # the least reach that stops there
-    return JnTable(n, reach) if least == reach else _jn_table(n, least)
+    """JnTable(n, reach), probing its stop once."""
+    return _jn_stopped(n, *_jn_stop(n, reach))
+
+
+@lru_cache(maxsize=32)
+def _jn_stopped(n: int, stop: int, decayed: bool) -> JnTable:
+    """One JnTable for all the reaches that stop alike, built at the least of them."""
+    return JnTable(n, stop + decayed, (stop, decayed))
 
 
 # ---------------------------------------------------------------------------

@@ -350,7 +350,8 @@ class TestRunVerify:
     def test_failed_cell_cancels_the_cells_behind_it(self, monkeypatch, threads):
         # the first of 8 cells raises and every other cell holds its pool
         # thread for 0.3 s; a thread freed by the error may take one more
-        # cell before the error reaches the caller, and none past those starts
+        # cell before the error reaches the caller, and none past those
+        # starts.  The stub cells draw no m_2 pairs, so they start in cell order
         started = []
 
         def cell(i):
@@ -365,6 +366,48 @@ class TestRunVerify:
         with pytest.raises(NumericKernelError, match="cell 0"):
             ex.run_verify(suite="stub", threads=threads)
         assert 0 in started and set(started) <= set(range(1 + threads))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_cell_cancels_in_start_order(self, monkeypatch, threads):
+        # started last-cell first, the last of 8 cells raises: only the
+        # cells started before the error reaches the caller ever run
+        started = []
+
+        def cell(i):
+            started.append(i)
+            if i == 7:
+                raise NumericKernelError("cell 7 failed")
+            time.sleep(0.3)
+            return reports.BoundCheckReport()
+
+        monkeypatch.setattr(ex, "SUITES", {
+            "stub": lambda scale, seed: [partial(cell, i) for i in range(8)]})
+        monkeypatch.setattr(ex, "_start_order", lambda cells: list(range(len(cells)))[::-1])
+        with pytest.raises(NumericKernelError, match="cell 7"):
+            ex.run_verify(suite="stub", threads=threads)
+        assert 7 in started and set(started) <= set(range(7 - threads, 8))
+
+    def test_anisotropic_cell_starts_first(self):
+        # the one cell that draws the m_2 > 1 pairs leads; the rest keep
+        # cell order
+        cells = [cell for name in ex.SUITES for cell in ex.SUITES[name](1.0, 42)]
+        aniso = [i for i, cell in enumerate(cells)
+                 if getattr(cell, "func", None) is ex._functional_checks
+                 and not cell.args[0].is_isotropic]
+        assert len(aniso) == 1
+        order = ex._start_order(cells)
+        assert order == aniso + [i for i in range(len(cells)) if i != aniso[0]]
+
+    def test_rows_do_not_depend_on_start_order(self, monkeypatch):
+        # rows come in cell order whatever order the cells start in
+        def csv(threads):
+            return reports.render_csv(*ex.run_verify(
+                budget_scale=0.02, seed=3, threads=threads).csv_rows())
+
+        longest_first = [csv(1), csv(2)]
+        monkeypatch.setattr(ex, "_start_order", lambda cells: list(range(len(cells)))[::-1])
+        reversed_order = [csv(1), csv(2)]
+        assert len(set(longest_first + reversed_order)) == 1
 
     @pytest.mark.parametrize("suite", list(ex.SUITES))
     def test_seed_recorded_in_rows(self, suite):

@@ -79,6 +79,21 @@ class TestMomentMp:
         assert b.value == pytest.approx(2.0 * a.value, rel=1e-12)
         assert np.allclose(a.direction, b.direction)
 
+    def test_ascent_stops_at_batch_noise(self, monkeypatch):
+        # each step size ends once its best proposal gains under one SE of
+        # the current score: 6 scoring passes here, 45 under a 1e-6
+        # relative-gain rule, which climbed into the batch's noise
+        passes = []
+        score = fn._empirical_lp
+        monkeypatch.setattr(fn, "_empirical_lp",
+                            lambda *args: passes.append(1) or score(*args))
+        spec = spec_iid("rademacher", 64)
+        est = fn.moment_Mp(spec, 3.0, budget=20_000, rng=0)
+        assert len(passes) <= 8
+        # the reported SE is still the delta-method SE on the search batch
+        batch = sy.sample_vector(spec, 20_000, as_rng(0, "mp_search")).matrix
+        assert est.se == fn.root_mean_se(fn._abs_pow(batch @ est.direction, 3.0), 3.0)
+
 
 class TestEmpiricalLp:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.5])

@@ -296,6 +296,25 @@ class TestCharfnJn:
         for reach in (1, 2, 3):
             assert np.array_equal(table(s), sl.JnTable(64, reach)(s))
 
+    def test_one_stop_probe_per_new_table(self, monkeypatch):
+        # a new table probes its cutoffs once (reach 1 took two probes, reach
+        # 3, past the stop, three); a new reach of a built table probes once
+        # and builds nothing, and a reach asked before does not probe
+        def clear_caches():
+            sl._jn_table.cache_clear()
+            sl._jn_stopped.cache_clear()
+
+        calls = []
+        stop = sl._jn_stop
+        monkeypatch.setattr(sl, "_jn_stop", lambda n, reach: calls.append(reach) or stop(n, reach))
+        clear_caches()
+        table = sl.jn_table(64, 150.0)
+        assert calls == [3]
+        assert sl.jn_table(64, 150.0) is table and calls == [3]
+        assert sl.jn_table(64, 80.0) is table and calls == [3, 1]
+        clear_caches()
+        assert sl.jn_table(64, 80.0) is not table and calls == [3, 1, 1]
+
     @pytest.mark.parametrize("n", range(2, 17))
     def test_bulk_evaluator_small_n(self, n):
         # every n is a table; up to s = 60 no envelope of n <= 12 falls
